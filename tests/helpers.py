@@ -3,15 +3,18 @@ independent Monte Carlo oracle for truncated-normal moments."""
 
 from __future__ import annotations
 
+import json
 import math
 import random
+from functools import partial
+from pathlib import Path
 
 import numpy as np
 
 from amrsched.model import (AmrParams, CostParams, DEPOT, Gaussian, Instance,
                             Request, Solution, StochasticParams,
-                            default_shift_start, normalize_solution,
-                            solution_from_ids)
+                            default_shift_start, load_instance,
+                            normalize_solution, solution_from_ids)
 
 # The published optimum for the shipped 12-request instance.
 OPTIMAL_ROUTES = [[[1, 3, 6, 7], [9, 11, 10]], [[4, 2, 5, 8, 12]]]
@@ -130,3 +133,92 @@ def sub_instance(inst: Instance, ids: list[int]) -> Instance:
                     charging_floors=inst.charging_floors, distance=distance,
                     floor_diff=floor_diff, amr=inst.amr, cost=inst.cost,
                     stoch=inst.stoch, shift_start=shift)
+
+
+# ---------------------------------------------------------------------------
+# goldens: outputs pinned byte for byte by tests/test_goldens.py and written
+# by scripts/capture_goldens.py
+
+GOLDEN_DIR = Path(__file__).resolve().parent / "goldens"
+INSTANCE_DIR = Path(__file__).resolve().parent.parent / "instances"
+GOLDEN_SOLVES = (("hospital12", 4000), ("hospital64", 400))
+
+
+def golden_text(payload) -> str:
+    """JSON text of a golden payload.  Floats are written as their repr, so
+    equal text means bit-equal floats."""
+    return json.dumps(payload, indent=1, sort_keys=True) + "\n"
+
+
+def golden_cases(h12_seeds: int = 4) -> dict:
+    """Golden file stem -> zero-argument payload builder."""
+    cases = {}
+    for name, n_iter in GOLDEN_SOLVES:
+        for seed in range(h12_seeds if name == "hospital12" else 4):
+            cases[f"{name}_n{n_iter}_seed{seed}"] = partial(
+                solve_payload, name, n_iter, seed)
+    cases["random_evaluations"] = random_evaluations_payload
+    return cases
+
+
+def solve_payload(name: str, n_iter: int, seed: int) -> dict:
+    """Solution JSON and best-objective history of one solve on a freshly
+    loaded shipped instance."""
+    from amrsched.evaluation import solution_to_dict
+    from amrsched.vns import solve
+
+    inst = load_instance(INSTANCE_DIR / f"{name}.json")
+    sol, ev, history = solve(inst, n_iter, seed=seed)
+    return {"solution": solution_to_dict(inst, sol, ev), "history": history}
+
+
+def random_evaluations_payload() -> list:
+    """Full profiles and memoised summaries of 60 random solutions, a third
+    on tight-battery instances.  Those also record the charging-repaired
+    solution, so the charging branch of the trip recurrence is pinned."""
+    from amrsched.operators import charging_insert_repair
+
+    rng = random.Random(2024)
+    out = []
+    for case in range(60):
+        tight = case % 3 == 0
+        inst = random_instance(rng, rng.randint(1, 8), tight_battery=tight)
+        sol = random_solution(rng, inst)
+        entry = {"case": case, "plain": _evaluation_record(inst, sol)}
+        if tight:
+            entry["repaired"] = _evaluation_record(
+                inst, charging_insert_repair(inst, sol))
+        out.append(entry)
+    return out
+
+
+def _evaluation_record(inst: Instance, sol: Solution) -> dict:
+    from amrsched.evaluation import evaluate_solution, solution_cost
+
+    ev = evaluate_solution(inst, sol)
+    cs = solution_cost(inst, sol)
+    return {
+        "amrs": [[list(t) for t in amr] for amr in sol.amrs],
+        "evaluation": {
+            "amr_count": ev.amr_count,
+            "total_distance": ev.total_distance,
+            "objective": ev.objective,
+            "penalized": ev.penalized,
+            "feasible": ev.feasible,
+            "per_trip": [{
+                "timings": [[t.arrival.mean, t.arrival.variance, t.start.mean,
+                             t.start.variance, t.departure_mean]
+                            for t in te.timings],
+                "load_after": list(te.load_after),
+                "battery_after": list(te.battery_after),
+                "distance": te.distance,
+                "capacity_ok": te.capacity_ok,
+                "battery_ok": te.battery_ok,
+                "tw_ok": te.tw_ok,
+                "tw_violations": te.tw_violations,
+                "violating_requests": list(te.violating_requests),
+            } for te in ev.per_trip],
+        },
+        "cost": {k: list(v) if isinstance(v, tuple) else v
+                 for k, v in cs._asdict().items()},
+    }
