@@ -10,17 +10,15 @@ from .model import (AmrParams, CostParams, Gaussian, Instance, InstanceError,
                     load_instance, normalize_solution, scale_distance,
                     scale_variance, serialize_instance, solution_from_ids,
                     validate_instance)
-from .stochastic import (NodeTiming, chance_satisfied, charging_departure,
-                         normal_quantile, propagate, travel_params,
-                         truncated_start, violation_probability)
+from .stochastic import (NodeTiming, normal_quantile, truncated_start,
+                         violation_probability)
 from .evaluation import (SolutionEvaluation, TripEvaluation, evaluate_solution,
                          evaluate_trip, route_table, solution_cost,
                          solution_to_dict)
 from .operators import (amr_decrease, charging_insert_repair,
                         depot_insert_repair, relocation_star, shake_2opt_l,
                         swap_star, two_opt_star)
-from .vns import (SearchState, feasible_operation, greedy_initial,
-                  local_search, shaking, solve)
+from .vns import feasible_operation, greedy_initial, local_search, shaking, solve
 from .oracle import McReport, NoFeasibleSolution, exact_solve, mc_validate
 
 __version__ = "0.1.0"

@@ -16,9 +16,8 @@ from multiprocessing import Pool
 from pathlib import Path
 
 from .evaluation import evaluate_solution, route_table, solution_to_dict
-from .model import (Instance, InstanceError, StructuralError, load_instance,
-                    scale_distance, scale_variance, serialize_instance,
-                    solution_from_ids)
+from .model import (Instance, StructuralError, load_instance, scale_distance,
+                    scale_variance, serialize_instance, solution_from_ids)
 from .oracle import NoFeasibleSolution, exact_solve, mc_validate
 from .vns import solve
 
@@ -99,8 +98,7 @@ def load_configured_instance(args) -> Instance:
     if args.xi3 is not None:
         updates["tw_penalty"] = args.xi3
     if updates:
-        inst = dataclasses.replace(inst, cost=dataclasses.replace(cost, **updates),
-                                   travel_mean=None, travel_var=None)
+        inst = dataclasses.replace(inst, cost=dataclasses.replace(cost, **updates))
     if args.scale_variance is not None:
         inst = scale_variance(inst, args.scale_variance)
     if args.scale_distance is not None:
@@ -138,6 +136,8 @@ def cmd_solve(args) -> int:
 def cmd_validate(args) -> int:
     inst = load_configured_instance(args)
     data = json.loads(Path(args.solution).read_text())
+    if not isinstance(data, dict) or "amrs" not in data:
+        raise StructuralError(f"solution file {args.solution} has no 'amrs' list")
     sol = solution_from_ids(inst, [a["trips"] for a in data["amrs"]])
     ev = evaluate_solution(inst, sol)
     if not ev.feasible:
@@ -213,10 +213,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         code = _COMMANDS[args.command](args)
-    except (InstanceError, StructuralError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except OSError as exc:
+    except (ValueError, OSError) as exc:
+        # ValueError covers InstanceError, StructuralError and JSONDecodeError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     return code

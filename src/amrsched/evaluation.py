@@ -1,14 +1,14 @@
 """Trip and solution evaluation: load/battery profiles, stochastic timings,
 the two-term objective and its penalized search surrogate.
 
-Two code paths cover the same math:
+One trip recurrence, ``_walk_trip``, carries the arrival law, the battery and
+the load from node to node, and can record the per-node profile as it goes:
 
-* ``evaluate_trip`` / ``evaluate_solution`` build full per-node profiles and
-  are the reference implementation of the contracts.
-* ``solution_cost`` is the memoized fast path the search loop runs millions
-  of times; it walks the identical recurrences inline and caches per trip,
-  per AMR and per solution.  ``tests/test_evaluation.py`` pins the two paths
-  to each other on random solutions.
+* ``evaluate_trip`` / ``evaluate_solution`` record it and return full
+  ``TripEvaluation`` profiles (reports, tests, the solver's final answer).
+* ``solution_cost`` is the memoized aggregate the search loop runs millions
+  of times; it walks without recording and caches per trip, per AMR and per
+  solution.
 
 Trips of one AMR chain at the depot: the next trip starts at the mean of the
 previous depot-arrival distribution with the variance reset (the reload is
@@ -21,14 +21,10 @@ import math
 from collections import namedtuple
 from dataclasses import dataclass
 
-from .model import (DEPOT, Gaussian, Instance, Solution, StructuralError,
-                    check_solution_structure, format_time)
-from .stochastic import (NodeTiming, chance_satisfied, charging_departure,
-                         propagate, travel_params, truncated_start,
-                         violation_probability)
+from .model import (DEPOT, Gaussian, Instance, Solution, check_solution_structure,
+                    format_time)
+from .stochastic import NodeTiming, _truncated_moments, violation_probability
 
-_SQRT2 = math.sqrt(2.0)
-_INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 _BATTERY_EPS = 1e-12
 _LOAD_EPS = 1e-9
 
@@ -60,76 +56,103 @@ class SolutionEvaluation:
         return tuple(r for te in self.per_trip for r in te.violating_requests)
 
 
+def _walk_trip(inst: Instance, trip, t0: float, b0: float, load: float,
+               profile: list | None = None):
+    """The trip recurrence every evaluator runs.
+
+    Each leg adds its travel mean and variance to the arrival and drains the
+    battery per metre.  A request tests its window at the (1 - epsilon)
+    quantile, starts at the truncated max(arrival, open), then adds its
+    service law and takes its demand off the load; a charging station tops a
+    battery below beta up to beta in deterministic time.
+
+    Returns (depot arrival mean, battery, distance, window violations,
+    capacity broken, battery broken, violating request nodes).  With a
+    ``profile`` list, one (arrival mean, arrival variance, start mean, start
+    variance, departure mean, load, battery) tuple per node after the first
+    is appended to it.
+    """
+    tm = inst.travel_mean
+    tv = inst.travel_var
+    drain = inst.drain
+    dmat = inst.distance
+    wo = inst.window_open
+    wc = inst.window_close
+    sm = inst.service_mean
+    sv = inst.service_var
+    dem = inst.demand
+    z = inst.z_quantile
+    nreq = inst.n_requests
+    alpha = inst.amr.battery_low
+    beta = inst.amr.battery_high
+    vq = inst.amr.charge_rate
+    truncate = _truncated_moments
+    sqrt = math.sqrt
+
+    mean = t0
+    var = 0.0
+    bat = b0
+    dist = 0.0
+    twv = 0
+    cap_bad = False
+    bat_bad = bat < alpha - _BATTERY_EPS
+    viol = ()
+    prev = trip[0]
+    for node in trip[1:]:
+        dist += dmat[prev][node]
+        bat -= drain[prev][node]
+        mean += tm[prev][node]
+        var += tv[prev][node]
+        if bat < alpha - _BATTERY_EPS:
+            bat_bad = True
+        if 0 < node <= nreq:
+            if mean + z * sqrt(var) > wc[node]:
+                twv += 1
+                viol += (node,)
+            start_mean, start_var = truncate(mean, var, wo[node])
+            load -= dem[node]
+            if load < -_LOAD_EPS:
+                cap_bad = True
+            if profile is not None:
+                profile.append((mean, var, start_mean, start_var,
+                                start_mean + sm[node], load, bat))
+            mean = start_mean + sm[node]
+            var = start_var + sv[node]
+        else:
+            arrival = mean
+            if node != DEPOT and bat < beta - _BATTERY_EPS:
+                mean += (beta - bat) / vq
+                bat = beta
+            if profile is not None:
+                profile.append((arrival, var, arrival, var, mean, load, bat))
+        prev = node
+    return mean, bat, dist, twv, cap_bad, bat_bad, viol
+
+
 def evaluate_trip(inst: Instance, trip, start_time: float, start_battery: float,
                   start_load: float) -> TripEvaluation:
-    """Walk one depot-to-depot node sequence.
+    """Walk one depot-to-depot node sequence and return its per-node profile.
 
     Arrival at each node adds the travel law for the leg; request nodes wait
     for their window (truncated start), consume service time and demand;
     charging nodes top the battery up to beta in deterministic time.
     Infeasibility is reported in the flags, never raised.
     """
-    amr = inst.amr
-    alpha = amr.battery_low
-    timings = [NodeTiming(Gaussian(start_time, 0.0), Gaussian(start_time, 0.0),
-                          start_time)]
-    loads = [start_load]
-    batteries = [start_battery]
-    battery = start_battery
-    load = start_load
-    distance = 0.0
-    tw_violations = 0
-    violating = []
-    battery_ok = battery >= alpha - _BATTERY_EPS
-    capacity_ok = True
-    out_mean = start_time          # departure mean of the previous node
-    out_var = 0.0                  # variance leaving the previous node
-    prev = trip[0]
-    for node in trip[1:]:
-        travel = travel_params(inst, prev, node)
-        arrival = propagate(Gaussian(out_mean, out_var), Gaussian(0.0, 0.0), travel)
-        distance += inst.distance[prev][node]
-        battery -= inst.drain[prev][node]
-        if battery < alpha - _BATTERY_EPS:
-            battery_ok = False
-        if inst.is_request(node):
-            req = inst.request_at(node)
-            if not chance_satisfied(arrival, req.window_close, inst.cost.epsilon):
-                tw_violations += 1
-                violating.append(req.id)
-            start = truncated_start(arrival, req.window_open)
-            load -= req.demand
-            if load < -_LOAD_EPS:
-                capacity_ok = False
-            departure = start.mean + req.service.mean
-            out_mean = departure
-            out_var = start.variance + req.service.variance
-        elif inst.is_charging(node):
-            start = arrival
-            departure = charging_departure(arrival.mean, battery, amr)
-            if battery < amr.battery_high - _BATTERY_EPS:
-                battery = amr.battery_high
-            out_mean = departure
-            out_var = arrival.variance
-        else:  # trailing depot
-            start = arrival
-            departure = arrival.mean
-            out_mean = departure
-            out_var = arrival.variance
-        timings.append(NodeTiming(arrival, start, departure))
-        loads.append(load)
-        batteries.append(battery)
-        prev = node
+    profile = [(start_time, 0.0, start_time, 0.0, start_time, start_load,
+                start_battery)]
+    _, _, distance, tw_violations, cap_bad, bat_bad, violating = _walk_trip(
+        inst, trip, start_time, start_battery, start_load, profile)
     return TripEvaluation(
-        timings=tuple(timings),
-        load_after=tuple(loads),
-        battery_after=tuple(batteries),
+        timings=tuple(NodeTiming(Gaussian(am, av), Gaussian(sm, sv), dep)
+                      for am, av, sm, sv, dep, _, _ in profile),
+        load_after=tuple(p[5] for p in profile),
+        battery_after=tuple(p[6] for p in profile),
         distance=distance,
-        capacity_ok=capacity_ok,
-        battery_ok=battery_ok,
+        capacity_ok=not cap_bad,
+        battery_ok=not bat_bad,
         tw_ok=tw_violations == 0,
         tw_violations=tw_violations,
-        violating_requests=tuple(violating),
+        violating_requests=tuple(inst.request_at(n).id for n in violating),
     )
 
 
@@ -170,7 +193,7 @@ def evaluate_solution(inst: Instance, sol: Solution) -> SolutionEvaluation:
 
 
 # ---------------------------------------------------------------------------
-# fast path
+# memoized aggregate
 
 # Aggregate cost record used by the search; `violating` holds node indices.
 CostSummary = namedtuple(
@@ -183,101 +206,13 @@ _AMR_CACHE_LIMIT = 1 << 17
 _SOL_CACHE_LIMIT = 1 << 16
 
 
-def _caches(inst: Instance) -> dict:
-    c = inst._caches
-    if not c:
-        c["trip"] = {}
-        c["amr"] = {}
-        c["sol"] = {}
-    return c
-
-
-def _trip_fast(inst, trip, t0, b0, cache):
-    key = (trip, t0, b0)
-    hit = cache.get(key)
-    if hit is not None:
-        return hit
-    tm = inst.travel_mean
-    tv = inst.travel_var
-    drain = inst.drain
-    dmat = inst.distance
-    wo = inst.window_open
-    wc = inst.window_close
-    sm = inst.service_mean
-    sv = inst.service_var
-    dem = inst.demand
-    z = inst.z_quantile
-    nreq = inst.n_requests
-    alpha = inst.amr.battery_low
-    beta = inst.amr.battery_high
-    vq = inst.amr.charge_rate
-    erfc = math.erfc
-    exp = math.exp
-    sqrt = math.sqrt
-
-    mean = t0
-    var = 0.0
-    bat = b0
-    load = inst.amr.capacity
-    dist = 0.0
-    twv = 0
-    cap_bad = False
-    bat_bad = bat < alpha - _BATTERY_EPS
-    viol = ()
-    prev = trip[0]
-    for node in trip[1:]:
-        row = prev
-        dist += dmat[row][node]
-        bat -= drain[row][node]
-        mean += tm[row][node]
-        var += tv[row][node]
-        if bat < alpha - _BATTERY_EPS:
-            bat_bad = True
-        if 0 < node <= nreq:
-            if mean + z * sqrt(var) > wc[node]:
-                twv += 1
-                viol += (node,)
-            e = wo[node]
-            if var > 0.0:
-                sigma = sqrt(var)
-                zz = (e - mean) / sigma
-                upper = 0.5 * erfc(zz / _SQRT2)
-                pdf = _INV_SQRT_2PI * exp(-0.5 * zz * zz)
-                c = mean - e
-                excess = c * upper + sigma * pdf
-                second = (c * c + var) * upper + c * sigma * pdf
-                var_y = second - excess * excess
-                if var_y < 0.0:
-                    var_y = 0.0
-                elif var_y > var:
-                    var_y = var
-                var = var_y
-                mean = e + excess
-            elif mean < e:
-                mean = e
-            load -= dem[node]
-            if load < -_LOAD_EPS:
-                cap_bad = True
-            mean += sm[node]
-            var += sv[node]
-        elif node != DEPOT:
-            if bat < beta - _BATTERY_EPS:
-                mean += (beta - bat) / vq
-                bat = beta
-        prev = node
-    result = (mean, bat, dist, twv, cap_bad, bat_bad, viol)
-    if len(cache) >= _TRIP_CACHE_LIMIT:
-        cache.clear()
-    cache[key] = result
-    return result
-
-
-def _amr_fast(inst, trips, caches):
+def _amr_cost(inst, trips, caches):
     cache = caches["amr"]
     hit = cache.get(trips)
     if hit is not None:
         return hit
     trip_cache = caches["trip"]
+    capacity = inst.amr.capacity
     t = inst.shift_start
     bat = inst.amr.battery_init
     dist = 0.0
@@ -286,9 +221,14 @@ def _amr_fast(inst, trips, caches):
     bat_n = 0
     viol = ()
     for trip in trips:
-        mean, bat, d, tv_, cap_bad, bat_bad, v = _trip_fast(inst, trip, t, bat,
-                                                            trip_cache)
-        t = mean
+        key = (trip, t, bat)
+        walked = trip_cache.get(key)
+        if walked is None:
+            walked = _walk_trip(inst, trip, t, bat, capacity)
+            if len(trip_cache) >= _TRIP_CACHE_LIMIT:
+                trip_cache.clear()
+            trip_cache[key] = walked
+        t, bat, d, tv_, cap_bad, bat_bad, v = walked
         dist += d
         twv += tv_
         cap_n += cap_bad
@@ -304,7 +244,7 @@ def _amr_fast(inst, trips, caches):
 def solution_cost(inst: Instance, sol: Solution) -> CostSummary:
     """Memoized aggregate cost of a solution; same numbers as
     evaluate_solution but without per-node profiles."""
-    caches = _caches(inst)
+    caches = inst._caches
     cache = caches["sol"]
     hit = cache.get(sol.amrs)
     if hit is not None:
@@ -315,7 +255,7 @@ def solution_cost(inst: Instance, sol: Solution) -> CostSummary:
     flags = 0
     viol = ()
     for trips in sol.amrs:
-        d, tv_, cap_n, bat_n, v = _amr_fast(inst, trips, caches)
+        d, tv_, cap_n, bat_n, v = _amr_cost(inst, trips, caches)
         dist += d
         twv += tv_
         flags += cap_n + bat_n
@@ -337,13 +277,6 @@ def solution_cost(inst: Instance, sol: Solution) -> CostSummary:
         cache.clear()
     cache[sol.amrs] = result
     return result
-
-
-def violating_nodes(inst: Instance, eval_like) -> tuple[int, ...]:
-    """Node indices of chance-violating requests from either evaluation flavor."""
-    if isinstance(eval_like, CostSummary):
-        return eval_like.violating
-    return tuple(inst.node_of_id[r] for r in eval_like.violating_requests)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -107,11 +107,9 @@ class Instance:
     stoch: StochasticParams
     shift_start: float
 
-    # Derived lookups, filled in __post_init__ (node-indexed).
-    travel_mean: list = field(repr=False, default=None)
-    travel_var: list = field(repr=False, default=None)
-
     def __post_init__(self):
+        # Derived, node-indexed lookups; every construction (also through
+        # dataclasses.replace) recomputes them from the fields above.
         n = len(self.requests)
         self.n_requests = n
         self.n_nodes = n + 1 + len(self.charging_floors)
@@ -148,14 +146,8 @@ class Instance:
             [d * self.amr.consume_rate for d in drow] for drow in self.distance
         ]
         self.z_quantile = _normal_quantile_cached(1.0 - self.cost.epsilon)
-        self._caches = {}
-
-    # Caches hold evaluation memos; they are derived data and must not travel
-    # through pickling (bench workers rebuild them).
-    def __getstate__(self):
-        state = dict(self.__dict__)
-        state["_caches"] = {}
-        return state
+        # evaluation.solution_cost memos, keyed by trip, AMR and solution
+        self._caches = {"trip": {}, "amr": {}, "sol": {}}
 
     def is_request(self, node: int) -> bool:
         return 1 <= node <= self.n_requests
@@ -494,8 +486,7 @@ def scale_distance(inst: Instance, k: float) -> Instance:
     scaled = tuple(tuple(d * k for d in row) for row in inst.distance)
     shift = default_shift_start(inst.requests, scaled, inst.floor_diff,
                                 inst.amr, inst.stoch)
-    return replace(inst, distance=scaled, shift_start=shift,
-                   travel_mean=None, travel_var=None)
+    return replace(inst, distance=scaled, shift_start=shift)
 
 
 def scale_variance(inst: Instance, n: float) -> Instance:
@@ -506,7 +497,7 @@ def scale_variance(inst: Instance, n: float) -> Instance:
     )
     stoch = replace(inst.stoch, sigma0_sq=inst.stoch.sigma0_sq * n,
                     sigmaf_sq=inst.stoch.sigmaf_sq * n)
-    return replace(inst, requests=reqs, stoch=stoch, travel_mean=None, travel_var=None)
+    return replace(inst, requests=reqs, stoch=stoch)
 
 
 # ---------------------------------------------------------------------------

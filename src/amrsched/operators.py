@@ -2,9 +2,9 @@
 
 All operators are pure: they copy the incoming solution, never mutate it,
 and consume randomness only from the explicit rng argument.  Moves that
-target time-window trouble use the current evaluation's list of
-chance-violating requests; when nothing violates they fall back to the
-uniform random variant.  Every operator preserves the multiset of request
+target time-window trouble use the chance-violating request nodes of the
+incoming solution's ``CostSummary``; when nothing violates they fall back to
+the uniform random variant.  Every operator preserves the multiset of request
 nodes.
 """
 
@@ -14,7 +14,7 @@ import math
 import random
 
 from .model import DEPOT, Instance, Solution, StructuralError, normalize_solution
-from .evaluation import solution_cost, violating_nodes
+from .evaluation import solution_cost
 
 _REPAIR_ROUNDS_PER_REQUEST = 2
 
@@ -59,7 +59,7 @@ def swap_star(inst: Instance, sol: Solution, evaluation, rng: random.Random) -> 
     positions = _request_positions(inst, lists)
     if len(positions) < 2:
         return sol
-    viol = violating_nodes(inst, evaluation)
+    viol = evaluation.violating
     if viol:
         v = viol[rng.randrange(len(viol))] if len(viol) > 1 else viol[0]
         va, vt, vi = _position_of(lists, v)
@@ -169,7 +169,7 @@ def relocation_star(inst: Instance, sol: Solution, evaluation,
     positions = _request_positions(inst, lists)
     if len(positions) < 2:
         return sol
-    viol = violating_nodes(inst, evaluation)
+    viol = evaluation.violating
     if viol:
         v = viol[rng.randrange(len(viol))] if len(viol) > 1 else viol[0]
         va, vt, vi = _position_of(lists, v)
@@ -234,43 +234,26 @@ def charging_insert_repair(inst: Instance, sol: Solution) -> Solution:
     """
     lists = _to_lists(sol)
     if not inst.charging_nodes:
-        if _battery_violation(inst, lists) is not None:
+        if any(_battery_violation(inst, amr) is not None for amr in lists):
             raise StructuralError("battery infeasible and no charging station exists")
         return sol
     alpha = inst.amr.battery_low
     beta = inst.amr.battery_high
     max_rounds = max(4, _REPAIR_ROUNDS_PER_REQUEST * inst.n_requests)
     for _ in range(max_rounds):
-        hit = _battery_violation(inst, lists)
-        if hit is None:
-            return normalize_solution(lists)
-        a, t, i = hit
-        # every insertion slot of this AMR up to the violation, latest first:
-        # (trip_index, node_index, battery when leaving the preceding node)
-        slots = []
-        battery = inst.amr.battery_init
-        for ti, trip in enumerate(lists[a]):
-            prev = trip[0]
-            stop = False
-            for ni in range(1, len(trip)):
-                slots.append((ti, ni, battery))
-                node = trip[ni]
-                battery -= inst.drain[prev][node]
-                if (ti, ni) == (t, i):
-                    stop = True
-                    break
-                if inst.is_charging(node) and battery < beta - 1e-12:
-                    battery = beta
-                prev = node
-            if stop:
+        for a, amr in enumerate(lists):
+            hit = _battery_violation(inst, amr)
+            if hit is not None:
                 break
+        else:
+            return normalize_solution(lists)
+        t, i, slots = hit
         placed = False
         for ti, ni, b_prev in reversed(slots):
             prev = lists[a][ti][ni - 1]
             if inst.is_charging(prev):
                 continue
-            station = min(inst.charging_nodes,
-                          key=lambda c: (inst.distance[prev][c], c))
+            station = _nearest_station(inst, prev)
             at_station = b_prev - inst.drain[prev][station]
             # the station must be reachable and the charge must change state
             if at_station >= alpha - 1e-12 and at_station < beta - 1e-12:
@@ -284,24 +267,35 @@ def charging_insert_repair(inst: Instance, sol: Solution) -> Solution:
     raise StructuralError("charging insertion did not converge")
 
 
-def _battery_violation(inst, lists):
-    """(amr, trip, node_index) of the first sub-alpha arrival, else None."""
+def _battery_violation(inst, trips):
+    """First sub-alpha arrival along one AMR's chained trips, else None.
+
+    Returns (trip_index, node_index, slots): slots lists every insertion
+    point up to and including the violating one, as (trip_index, node_index,
+    battery when leaving the preceding node).  A charging station tops a
+    battery below beta up to beta.
+    """
     alpha = inst.amr.battery_low
     beta = inst.amr.battery_high
     drain = inst.drain
-    for a, amr in enumerate(lists):
-        battery = inst.amr.battery_init
-        for t, trip in enumerate(amr):
-            prev = trip[0]
-            for i in range(1, len(trip)):
-                node = trip[i]
-                battery -= drain[prev][node]
-                if battery < alpha - 1e-12:
-                    return a, t, i
-                if inst.is_charging(node) and battery < beta - 1e-12:
-                    battery = beta
-                prev = node
+    battery = inst.amr.battery_init
+    slots = []
+    for t, trip in enumerate(trips):
+        prev = trip[0]
+        for i in range(1, len(trip)):
+            node = trip[i]
+            slots.append((t, i, battery))
+            battery -= drain[prev][node]
+            if battery < alpha - 1e-12:
+                return t, i, slots
+            if inst.is_charging(node) and battery < beta - 1e-12:
+                battery = beta
+            prev = node
     return None
+
+
+def _nearest_station(inst, node):
+    return min(inst.charging_nodes, key=lambda c: (inst.distance[node][c], c))
 
 
 def amr_decrease(inst: Instance, sol: Solution) -> Solution:

@@ -1,18 +1,20 @@
-"""Closed-form propagation of arrival/start-time distributions along a trip.
+"""Normal-law helpers behind the trip recurrence in ``evaluation``.
 
 Arrival times are carried as normal (mean, variance) pairs.  Waiting at a
 request window turns the start time into the left-truncated variable
 Y = max(X, e); only its first two moments are propagated, re-read as a
-normal for the next leg.  The time-window test compares the (1 - epsilon)
-quantile of the arrival against the window close.
+normal for the next leg.  The time-window test compares the
+``normal_quantile(1 - epsilon)`` quantile of the arrival against the window
+close.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from math import erfc, exp, sqrt   # bare names for the per-node hot path
 
-from .model import AmrParams, Gaussian, Instance
+from .model import Gaussian
 
 _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
@@ -58,26 +60,24 @@ def normal_quantile(p: float) -> float:
     return x
 
 
-def travel_params(inst: Instance, i: int, j: int) -> Gaussian:
-    """Travel-time law for the leg i -> j: distance over speed plus a stop
-    overhead, plus the elevator term whenever the floors differ."""
-    return Gaussian(inst.travel_mean[i][j], inst.travel_var[i][j])
-
-
 def truncated_start(arrival: Gaussian, e: float) -> Gaussian:
-    """Moments of the service start Y = max(X, e) for X ~ N(arrival).
+    """Moments of the service start Y = max(X, e) for X ~ N(arrival)."""
+    return Gaussian(*_truncated_moments(arrival.mean, arrival.variance, e))
+
+
+def _truncated_moments(mu: float, var: float, e: float) -> tuple[float, float]:
+    """(mean, variance) of Y = max(X, e) for X ~ N(mu, var).
 
     Computed in the frame centered at e, which keeps the variance stable even
     when the window opening sits many sigmas above the arrival mean.  A
     degenerate arrival (variance <= 0) reduces to the deterministic max.
     """
-    mu, var = arrival.mean, arrival.variance
     if var <= 0.0:
-        return Gaussian(max(mu, e), 0.0)
-    sigma = math.sqrt(var)
+        return max(mu, e), 0.0
+    sigma = sqrt(var)
     z = (e - mu) / sigma
-    upper = 0.5 * math.erfc(z / _SQRT2)        # P(X > e)
-    pdf = _INV_SQRT_2PI * math.exp(-0.5 * z * z)
+    upper = 0.5 * erfc(z / _SQRT2)             # P(X > e)
+    pdf = _INV_SQRT_2PI * exp(-0.5 * z * z)
     c = mu - e
     excess = c * upper + sigma * pdf           # E[Y] - e, always >= 0
     second = (c * c + var) * upper + c * sigma * pdf
@@ -86,22 +86,7 @@ def truncated_start(arrival: Gaussian, e: float) -> Gaussian:
         var_y = 0.0
     elif var_y > var:
         var_y = var
-    return Gaussian(e + excess, var_y)
-
-
-def propagate(prev_start: Gaussian, service: Gaussian, travel: Gaussian) -> Gaussian:
-    """Arrival at the next node: independent normals add in mean and variance."""
-    return Gaussian(
-        prev_start.mean + service.mean + travel.mean,
-        prev_start.variance + service.variance + travel.variance,
-    )
-
-
-def chance_satisfied(arrival: Gaussian, h: float, epsilon: float) -> bool:
-    """True iff the (1 - epsilon) quantile of the arrival is within the window
-    close h, i.e. P(arrival <= h) >= 1 - epsilon under the normal read."""
-    z = normal_quantile(1.0 - epsilon)
-    return arrival.mean + z * math.sqrt(max(arrival.variance, 0.0)) <= h
+    return e + excess, var_y
 
 
 def violation_probability(arrival: Gaussian, h: float) -> float:
@@ -109,16 +94,6 @@ def violation_probability(arrival: Gaussian, h: float) -> float:
     if arrival.variance <= 0.0:
         return 0.0 if arrival.mean <= h else 1.0
     return 0.5 * math.erfc((h - arrival.mean) / (_SQRT2 * math.sqrt(arrival.variance)))
-
-
-def charging_departure(arrival_mean: float, battery_on_arrival: float,
-                       amr: AmrParams) -> float:
-    """Departure time after topping the battery up to beta (partial charging);
-    no charge happens when the battery already sits at or above beta."""
-    deficit = amr.battery_high - battery_on_arrival
-    if deficit <= 0.0:
-        return arrival_mean
-    return arrival_mean + deficit / amr.charge_rate
 
 
 @dataclass(frozen=True)

@@ -15,27 +15,15 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
 
-from .model import DEPOT, Instance, Solution, normalize_solution
-from .evaluation import SolutionEvaluation, evaluate_solution, solution_cost, _caches
-from .operators import (amr_decrease, charging_insert_repair,
-                        depot_insert_repair, relocation_star, shake_2opt_l,
-                        shake_cost, swap_star, two_opt_star)
+from .model import DEPOT, Instance, Solution, StructuralError, normalize_solution
+from .evaluation import _walk_trip, evaluate_solution, solution_cost
+from .operators import (_battery_violation, _nearest_station, amr_decrease,
+                        charging_insert_repair, depot_insert_repair,
+                        relocation_star, shake_2opt_l, shake_cost, swap_star,
+                        two_opt_star)
 
 _NEIGHBORHOODS = (swap_star, two_opt_star, relocation_star)
-
-
-@dataclass
-class SearchState:
-    incumbent: Solution
-    best: Solution | None
-    best_objective: float
-    neighborhood_index: int
-    iteration: int
-    max_iterations: int
-    rng: random.Random
-    history: list[float] = field(default_factory=list)
 
 
 def greedy_initial(inst: Instance, rng: random.Random | None = None) -> Solution:
@@ -56,13 +44,11 @@ def greedy_initial(inst: Instance, rng: random.Random | None = None) -> Solution
     unserved = set(range(1, inst.n_requests + 1))
     trips: list[tuple[int, ...]] = []
     body: list[int] = []
-    trip_cache = _caches(inst)["trip"]
 
     def trip_ok(nodes):
-        from .evaluation import _trip_fast
-        full = (DEPOT, *nodes, DEPOT)
-        mean, bat, dist, twv, cap_bad, bat_bad, viol = _trip_fast(
-            inst, full, inst.shift_start, inst.amr.battery_init, trip_cache)
+        _, _, _, twv, cap_bad, bat_bad, _ = _walk_trip(
+            inst, (DEPOT, *nodes, DEPOT), inst.shift_start,
+            inst.amr.battery_init, inst.amr.capacity)
         return twv == 0 and not cap_bad, bat_bad
 
     while unserved:
@@ -121,27 +107,14 @@ def _patch_battery(inst, body):
     nodes = list(body)
     for _ in range(2 * len(body) + 2):
         trip = [DEPOT] + nodes + [DEPOT]
-        hit = _single_trip_battery_violation(inst, trip)
+        hit = _battery_violation(inst, [trip])
         if hit is None:
             return nodes
-        i = hit
+        i = hit[1]
         prev = trip[i - 1]
         if inst.is_charging(prev):
             return None
-        station = min(inst.charging_nodes, key=lambda c: (inst.distance[prev][c], c))
-        nodes.insert(i - 1, station)
-    return None
-
-
-def _single_trip_battery_violation(inst, trip):
-    battery = inst.amr.battery_init
-    alpha, beta = inst.amr.battery_low, inst.amr.battery_high
-    for i in range(1, len(trip)):
-        battery -= inst.drain[trip[i - 1]][trip[i]]
-        if battery < alpha - 1e-12:
-            return i
-        if inst.is_charging(trip[i]) and battery < beta - 1e-12:
-            battery = beta
+        nodes.insert(i - 1, _nearest_station(inst, prev))
     return None
 
 
@@ -180,7 +153,6 @@ def feasible_operation(inst: Instance, x: Solution) -> Solution:
         x = charging_insert_repair(inst, x)
         cs = solution_cost(inst, x)
     else:
-        from .model import StructuralError
         raise StructuralError("repair pipeline did not converge")
     return amr_decrease(inst, x)
 
@@ -206,8 +178,7 @@ def shaking(inst: Instance, x_l: Solution, rng: random.Random,
 
 
 def solve(inst: Instance, max_iterations: int, seed: int = 0,
-          shake_candidates: int = 20, delta: float | None = None,
-          on_iteration=None):
+          shake_candidates: int = 20, on_iteration=None):
     """Run the full VNS loop and return (solution, evaluation, history).
 
     history[i] is the best zero-penalty objective known after iteration i+1
@@ -224,34 +195,30 @@ def solve(inst: Instance, max_iterations: int, seed: int = 0,
     least_pen = cx.penalized
     least_pen_sol = x
     best: Solution | None = x if cx.feasible else None
-    best_obj = cx.objective if cx.feasible else math.inf
-    state = SearchState(incumbent=x, best=best, best_objective=best_obj,
-                        neighborhood_index=1, iteration=0,
-                        max_iterations=max_iterations, rng=rng)
+    best_objective = cx.objective if cx.feasible else math.inf
+    history: list[float] = []
 
     for n in range(1, max_iterations + 1):
-        x_l = local_search(inst, state.incumbent, rng)
+        x_l = local_search(inst, x, rng)
         x_l = feasible_operation(inst, x_l)
         cl = solution_cost(inst, x_l)
-        if cl.feasible and cl.objective < state.best_objective:
-            state.best = x_l
-            state.best_objective = cl.objective
-        x_prime = shaking(inst, x_l, rng, delta=delta, candidates=shake_candidates)
-        cp = solution_cost(inst, x_prime)
+        if cl.feasible and cl.objective < best_objective:
+            best = x_l
+            best_objective = cl.objective
         # The delta-accepted shake is the next working solution; the best
         # solution only moves on a strict zero-penalty improvement.
-        state.incumbent = x_prime
+        x = shaking(inst, x_l, rng, candidates=shake_candidates)
+        cp = solution_cost(inst, x)
         if cp.penalized < least_pen:
             least_pen = cp.penalized
-            least_pen_sol = x_prime
-        if cp.feasible and cp.objective < state.best_objective:
-            state.best = x_prime
-            state.best_objective = cp.objective
-        state.iteration = n
-        state.history.append(state.best_objective)
+            least_pen_sol = x
+        if cp.feasible and cp.objective < best_objective:
+            best = x
+            best_objective = cp.objective
+        history.append(best_objective)
         if on_iteration is not None:
-            on_iteration(n, state.best_objective, cp.penalized)
+            on_iteration(n, best_objective, cp.penalized)
 
-    returned = state.best if state.best is not None else least_pen_sol
+    returned = best if best is not None else least_pen_sol
     evaluation = evaluate_solution(inst, returned)
-    return returned, evaluation, state.history
+    return returned, evaluation, history

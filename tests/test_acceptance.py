@@ -168,8 +168,7 @@ def test_criterion_06_propositions():
         reqs[late - 1] = dataclasses.replace(
             reqs[late - 1], window_open=30_500.0 + rng.uniform(0, 2000),
             window_close=36_000.0)
-        inst = dataclasses.replace(inst, requests=tuple(reqs),
-                                   travel_mean=None, travel_var=None)
+        inst = dataclasses.replace(inst, requests=tuple(reqs))
         others = [n for n in nodes if n not in (early, late)]
         rng.shuffle(others)
         cut = rng.randint(0, len(others))

@@ -143,3 +143,24 @@ def test_solve_with_overrides(hospital12_path, capsys, tmp_path):
     # xi1 override visible in the objective: 2 AMRs cost 100 plus distance
     assert payload["objective"] == pytest.approx(
         50 * payload["m"] + 0.01 * payload["distance"])
+
+
+@pytest.mark.parametrize("command, solution_text", [
+    ("solve", None),        # --iterations 0: ValueError from solve
+    ("validate", ""),       # empty file: JSONDecodeError
+    ("validate", "{}"),     # no "amrs" key
+])
+def test_bad_input_is_one_error_line(command, solution_text, hospital12_path,
+                                     tmp_path, capsys):
+    argv = [command, "--instance", hospital12_path]
+    if command == "solve":
+        argv += ["--iterations", 0]
+    else:
+        path = tmp_path / "sol.json"
+        path.write_text(solution_text)
+        argv += ["--solution", path]
+    code = run(argv)
+    err = capsys.readouterr().err
+    assert code == 1
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert "Traceback" not in err

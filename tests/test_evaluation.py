@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 
@@ -6,8 +7,9 @@ import pytest
 from amrsched.model import DEPOT, Solution, StructuralError, solution_from_ids
 from amrsched.evaluation import (evaluate_solution, evaluate_trip,
                                  route_table, solution_cost, solution_to_dict)
+from amrsched.operators import charging_insert_repair
 from amrsched.oracle import mc_validate
-from helpers import paper_optimum, random_instance, random_solution
+from helpers import paper_optimum, random_instance, random_solution, sub_instance
 
 
 def test_trip_load_profile(hospital12):
@@ -109,14 +111,46 @@ def test_fast_path_agrees_with_reference():
         inst = random_instance(rng, rng.randint(1, 8),
                                tight_battery=case % 3 == 0)
         sol = random_solution(rng, inst)
-        ev = evaluate_solution(inst, sol)
-        cs = solution_cost(inst, sol)
-        assert cs.objective == pytest.approx(ev.objective, rel=1e-12)
-        assert cs.penalized == pytest.approx(ev.penalized, rel=1e-12)
-        assert cs.feasible == ev.feasible
-        assert cs.m == ev.amr_count
-        assert cs.distance == pytest.approx(ev.total_distance, rel=1e-12)
-        assert cs.tw_violations == sum(t.tw_violations for t in ev.per_trip)
+        sols = [sol, charging_insert_repair(inst, sol)] if case % 3 == 0 else [sol]
+        for sol in sols:
+            ev = evaluate_solution(inst, sol)
+            cs = solution_cost(inst, sol)
+            # float sums: the two paths add per trip vs per AMR
+            assert cs.objective == pytest.approx(ev.objective, rel=1e-12)
+            assert cs.penalized == pytest.approx(ev.penalized, rel=1e-12)
+            assert cs.distance == pytest.approx(ev.total_distance, rel=1e-12)
+            assert cs.feasible == ev.feasible
+            assert cs.m == ev.amr_count
+            assert cs.tw_violations == sum(t.tw_violations for t in ev.per_trip)
+            assert cs.flag_failures == sum(
+                (not t.capacity_ok) + (not t.battery_ok) for t in ev.per_trip)
+            assert cs.violating == tuple(inst.node_of_id[r]
+                                         for r in ev.violating_requests)
+            # the memoised walks chain battery and depot time like the profiles
+            last = -1
+            for trips in sol.amrs:
+                t, battery = inst.shift_start, inst.amr.battery_init
+                for trip in trips:
+                    t, battery = inst._caches["trip"][(trip, t, battery)][:2]
+                last += len(trips)
+                assert battery == ev.per_trip[last].battery_after[-1]
+                assert t == ev.per_trip[last].timings[-1].arrival.mean
+
+
+def test_charging_rule_shared_by_profile_and_summary(hospital12):
+    """A battery within 1e-12 under beta does not charge, in the profile and
+    in the memoised walk alike: both report the depot arrival of a full one."""
+    beta = hospital12.amr.battery_high
+    base = dataclasses.replace(sub_instance(hospital12, [1]), shift_start=30000.0)
+    trip = (DEPOT, base.charging_nodes[0], base.node_of_id[1], DEPOT)
+    sol = Solution(amrs=((trip,),))
+    full = evaluate_solution(base, sol).per_trip[0].timings[-1].arrival.mean
+    inst = dataclasses.replace(base, amr=dataclasses.replace(
+        base.amr, battery_init=beta - 5e-13))
+    profile = evaluate_solution(inst, sol).per_trip[0].timings[-1].arrival.mean
+    solution_cost(inst, sol)
+    (summary, *_), = inst._caches["trip"].values()
+    assert profile == summary == full
 
 
 def test_penalized_accounting(hospital12):

@@ -93,8 +93,7 @@ def test_two_opt_star_random_reversal_of_adjacent_pair():
         reqs = tuple(dataclasses.replace(r, window_open=29000.0,
                                          window_close=36000.0)
                      for r in inst.requests)
-        inst2 = dataclasses.replace(inst, requests=reqs,
-                                    travel_mean=None, travel_var=None)
+        inst2 = dataclasses.replace(inst, requests=reqs)
     sol = solution_from_ids(inst2, [[[1, 2, 3, 4]]])
     out = two_opt_star(inst2, sol, solution_cost(inst2, sol), random.Random(3))
     assert request_multiset(inst2, out) == request_multiset(inst2, sol)
@@ -107,7 +106,7 @@ def test_two_opt_star_no_eligible_trip():
     import dataclasses
     reqs = tuple(dataclasses.replace(r, window_open=29000.0, window_close=36000.0)
                  for r in inst.requests)
-    inst = dataclasses.replace(inst, requests=reqs, travel_mean=None, travel_var=None)
+    inst = dataclasses.replace(inst, requests=reqs)
     sol = solution_from_ids(inst, [[[1]], [[2]]])
     assert two_opt_star(inst, sol, solution_cost(inst, sol), rng) == sol
 
@@ -137,8 +136,7 @@ def test_relocation_star_random_identity_allowed():
     # wide-open windows: no violator, so the uniform random branch runs
     reqs = tuple(dataclasses.replace(r, window_open=0.0, window_close=86000.0)
                  for r in inst.requests)
-    inst = dataclasses.replace(inst, requests=reqs, travel_mean=None,
-                               travel_var=None)
+    inst = dataclasses.replace(inst, requests=reqs)
     sol = solution_from_ids(inst, [[[1, 2, 3]]])
     seen_identity = False
     for seed in range(40):
@@ -162,8 +160,7 @@ def test_depot_insert_splits_overloaded_route():
     reqs = tuple(dataclasses.replace(r, demand=float(q), window_open=0.0,
                                      window_close=80000.0)
                  for r, q in zip(inst.requests, (5, 5, 5, 3, 5, 5)))
-    inst = dataclasses.replace(inst, requests=reqs, travel_mean=None,
-                               travel_var=None)
+    inst = dataclasses.replace(inst, requests=reqs)
     sol = solution_from_ids(inst, [[[1, 2, 3, 4, 5, 6]]])
     out = depot_insert_repair(inst, sol)
     bodies = [[inst.node_label(n) for n in t[1:-1]] for t in out.amrs[0]]
@@ -176,8 +173,7 @@ def test_depot_insert_boundary_sum_equal_capacity():
     inst = random_instance(rng, 4)
     import dataclasses
     reqs = tuple(dataclasses.replace(r, demand=5.0) for r in inst.requests)
-    inst = dataclasses.replace(inst, requests=reqs, travel_mean=None,
-                               travel_var=None)
+    inst = dataclasses.replace(inst, requests=reqs)
     sol = solution_from_ids(inst, [[[1, 2, 3, 4]]])
     assert depot_insert_repair(inst, sol) == sol
 
@@ -255,8 +251,7 @@ def test_amr_decrease_keeps_unmergeable():
                                      service=dataclasses.replace(
                                          r.service, mean=400.0))
                  for r in inst.requests)
-    inst = dataclasses.replace(inst, requests=reqs, travel_mean=None,
-                               travel_var=None)
+    inst = dataclasses.replace(inst, requests=reqs)
     sol = solution_from_ids(inst, [[[1]], [[2]]])
     ev = evaluate_solution(inst, sol)
     assert ev.feasible
@@ -397,8 +392,7 @@ def test_swap_star_targeted_clears_hard_pairs_random_sweep():
             reqs[early - 1], window_open=29_000.0, window_close=30_000.0)
         reqs[late - 1] = dataclasses.replace(
             reqs[late - 1], window_open=30_500.0, window_close=35_000.0)
-        inst = dataclasses.replace(inst, requests=tuple(reqs),
-                                   travel_mean=None, travel_var=None)
+        inst = dataclasses.replace(inst, requests=tuple(reqs))
         sol = random_solution(rng, inst)
         ev = solution_cost(inst, sol)
         if not ev.violating:

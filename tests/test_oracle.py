@@ -32,8 +32,7 @@ def test_exact_two_disjoint_tight_windows_need_two_amrs():
                  for r in inst.requests)
     shift = default_shift_start(reqs, inst.distance, inst.floor_diff,
                                 inst.amr, inst.stoch)
-    inst = dataclasses.replace(inst, requests=reqs, shift_start=shift,
-                               travel_mean=None, travel_var=None)
+    inst = dataclasses.replace(inst, requests=reqs, shift_start=shift)
     sol, obj = exact_solve(inst)
     assert len(sol.amrs) == 2
     round_trips = 2 * (inst.distance[0][1] + inst.distance[0][2])
@@ -73,8 +72,7 @@ def test_exact_reports_infeasible():
     inst = random_instance(rng, 2)
     reqs = tuple(dataclasses.replace(r, window_open=10.0, window_close=20.0)
                  for r in inst.requests)
-    inst = dataclasses.replace(inst, requests=reqs, shift_start=50_000.0,
-                               travel_mean=None, travel_var=None)
+    inst = dataclasses.replace(inst, requests=reqs, shift_start=50_000.0)
     with pytest.raises(NoFeasibleSolution):
         exact_solve(inst)
 
@@ -104,8 +102,7 @@ def test_mc_zero_variance_plan_is_exact(hospital12):
         hospital12,
         requests=tuple(dataclasses.replace(r, service=Gaussian(r.service.mean, 0.0))
                        for r in hospital12.requests),
-        stoch=dataclasses.replace(hospital12.stoch, sigma0_sq=0.0, sigmaf_sq=0.0),
-        travel_mean=None, travel_var=None)
+        stoch=dataclasses.replace(hospital12.stoch, sigma0_sq=0.0, sigmaf_sq=0.0))
     sol = paper_optimum(inst)
     assert evaluate_solution(inst, sol).feasible
     report = mc_validate(inst, sol, 2000, seed=0)
@@ -123,8 +120,7 @@ def test_mc_boundary_first_stop_hits_epsilon():
     h = mu + 1.6448536269514722 * sigma
     reqs = (dataclasses.replace(inst.requests[0], window_open=0.0,
                                 window_close=h),)
-    inst = dataclasses.replace(inst, requests=reqs, travel_mean=None,
-                               travel_var=None)
+    inst = dataclasses.replace(inst, requests=reqs)
     sol = solution_from_ids(inst, [[[1]]])
     report = mc_validate(inst, sol, 1_000_000, seed=42)
     assert report.per_request[0].violation_frequency == pytest.approx(0.05,

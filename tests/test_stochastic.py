@@ -1,14 +1,14 @@
+import dataclasses
 import math
 import random
 
 import pytest
 
-from amrsched.model import Gaussian
-from amrsched.stochastic import (chance_satisfied, charging_departure,
-                                 normal_cdf, normal_quantile, propagate,
-                                 travel_params, truncated_start,
+from amrsched.evaluation import evaluate_trip
+from amrsched.model import DEPOT, Gaussian
+from amrsched.stochastic import (normal_cdf, normal_quantile, truncated_start,
                                  violation_probability)
-from helpers import mc_truncated_moments
+from helpers import mc_truncated_moments, sub_instance
 
 
 def test_normal_quantile_matches_cdf():
@@ -24,15 +24,14 @@ def test_normal_quantile_rejects_bad_p():
 
 
 def test_travel_params_floor_indicator(hospital12):
-    inst = hospital12
-    g = travel_params(inst, 0, 1)          # depot -> request 1: 100 m, 1 floor
-    assert g.mean == pytest.approx(157.25)
-    assert g.variance == pytest.approx(20.0)
-    g = travel_params(inst, 6, 7)          # co-located wards, same floor
-    assert g.mean == pytest.approx(6.0)
-    assert g.variance == pytest.approx(4.0)
-    g = travel_params(inst, 2, 11)         # zero distance, same floor
-    assert g.mean == pytest.approx(6.0)
+    """Leg laws: distance over speed plus the stop overhead, plus the
+    elevator term whenever the floors differ."""
+    tm, tv = hospital12.travel_mean, hospital12.travel_var
+    assert tm[0][1] == pytest.approx(157.25)   # depot -> request 1: 100 m, 1 floor
+    assert tv[0][1] == pytest.approx(20.0)
+    assert tm[6][7] == pytest.approx(6.0)      # co-located wards, same floor
+    assert tv[6][7] == pytest.approx(4.0)
+    assert tm[2][11] == pytest.approx(6.0)     # zero distance, same floor
 
 
 def test_truncated_start_far_below_is_identity():
@@ -87,18 +86,52 @@ def test_truncated_start_invariants_random_sweep():
         assert 0.0 <= g.variance <= var + 1e-9
 
 
-def test_propagate_adds_means_and_variances():
-    assert propagate(Gaussian(0, 0), Gaussian(600, 36), Gaussian(157.25, 20)) == \
-        Gaussian(757.25, 56.0)
-    assert propagate(Gaussian(0, 0), Gaussian(0, 0), Gaussian(0, 0)) == Gaussian(0, 0)
-    assert propagate(Gaussian(100, 4), Gaussian(300, 360), Gaussian(6, 4)) == \
-        Gaussian(406.0, 368.0)
+def test_propagate_adds_means_and_variances(hospital12):
+    """Along a trip, each arrival is the previous start plus its service law
+    plus the leg law, in mean and in variance."""
+    inst = hospital12
+    trip = (DEPOT, inst.node_of_id[5], inst.node_of_id[6], DEPOT)
+    te = evaluate_trip(inst, trip, 31000.0, 0.8, inst.amr.capacity)
+    first = te.timings[1].arrival
+    assert first == Gaussian(31000.0 + inst.travel_mean[0][trip[1]],
+                             inst.travel_var[0][trip[1]])
+    for k in range(1, len(trip) - 1):
+        node, nxt = trip[k], trip[k + 1]
+        start = te.timings[k].start
+        assert te.timings[k].departure_mean == start.mean + inst.service_mean[node]
+        assert te.timings[k + 1].arrival == Gaussian(
+            start.mean + inst.service_mean[node] + inst.travel_mean[node][nxt],
+            start.variance + inst.service_var[node] + inst.travel_var[node][nxt])
 
 
-def test_chance_satisfied_quantile_boundary():
-    assert chance_satisfied(Gaussian(0.0, 1.0), 1.6449, 0.05)
-    assert not chance_satisfied(Gaussian(0.0, 1.0), 1.60, 0.05)
-    assert chance_satisfied(Gaussian(0.0, 0.0), 0.0, 0.01)
+def test_chance_satisfied_quantile_boundary(hospital12):
+    """The window test passes exactly when mean + z * sd <= close, with
+    z = normal_quantile(1 - epsilon): the analytic P(late) is then at most
+    epsilon.  A deterministic arrival passes on the close itself."""
+    base = sub_instance(hospital12, [1])
+    still = dataclasses.replace(base, stoch=dataclasses.replace(
+        base.stoch, sigma0_sq=0.0, sigmaf_sq=0.0))
+
+    def passes(inst, close):
+        req = dataclasses.replace(inst.requests[0], window_close=close)
+        inst = dataclasses.replace(inst, requests=(req,))
+        return evaluate_trip(inst, (DEPOT, 1, DEPOT), inst.shift_start, 0.8,
+                             20.0).tw_ok
+
+    for inst in (base, still):
+        arrival = Gaussian(inst.shift_start + inst.travel_mean[0][1],
+                           inst.travel_var[0][1])
+        sd = math.sqrt(arrival.variance)
+        z = normal_quantile(1.0 - inst.cost.epsilon)
+        quantile = arrival.mean + z * sd
+        assert passes(inst, quantile)
+        assert not passes(inst, math.nextafter(quantile, -math.inf))
+        if sd:
+            grid = [quantile + sd * k / 8 for k in range(-16, 17)]
+            verdicts = [passes(inst, h) for h in grid]
+            assert verdicts == sorted(verdicts)
+            assert verdicts == [violation_probability(arrival, h)
+                                <= inst.cost.epsilon + 1e-12 for h in grid]
 
 
 def test_violation_probability_strictly_decreasing_in_h():
@@ -106,16 +139,22 @@ def test_violation_probability_strictly_decreasing_in_h():
     grid = [900.0 + 3.0 * k for k in range(100)]
     probs = [violation_probability(arrival, h) for h in grid]
     assert all(a > b for a, b in zip(probs, probs[1:]))
-    # monotone counterpart of the boolean test
-    sats = [chance_satisfied(arrival, h, 0.05) for h in grid]
-    assert sats == sorted(sats)
 
 
-def test_charging_departure():
-    from amrsched.model import AmrParams
-    amr = AmrParams(capacity=20, speed=1, consume_rate=1 / 21600,
-                    charge_rate=1 / 16200, battery_low=0.0, battery_high=0.8,
-                    battery_init=0.8)
-    assert charging_departure(0.0, 0.0, amr) == pytest.approx(0.8 * 16200)
-    assert charging_departure(123.0, 0.8, amr) == 123.0
-    assert charging_departure(0.0, 0.4, amr) == pytest.approx(6480.0)
+def test_charging_departure(hospital12):
+    """A charging stop tops a battery below beta up to beta at charge_rate
+    (partial charging) and delays the departure by that time; a battery at
+    beta, or within 1e-12 under it, leaves as it came."""
+    inst = hospital12
+    c = inst.charging_nodes[0]
+    beta, rate = inst.amr.battery_high, inst.amr.charge_rate
+    assert inst.drain[DEPOT][c] == 0.0      # the charger sits at the depot
+    for battery, charge_s in ((0.0, 0.8 * 16200), (0.4, 6480.0),
+                              (beta, 0.0), (beta - 5e-13, 0.0)):
+        te = evaluate_trip(inst, (DEPOT, c, DEPOT), 30000.0, battery, 20.0)
+        at_c = te.timings[1]
+        assert at_c.departure_mean - at_c.arrival.mean == pytest.approx(charge_s)
+        expected = at_c.arrival.mean + (beta - battery) / rate if charge_s \
+            else at_c.arrival.mean
+        assert at_c.departure_mean == expected
+        assert te.battery_after[1] == (beta if charge_s else battery)

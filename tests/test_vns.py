@@ -50,8 +50,7 @@ def test_local_search_fixes_one_swap_violation():
     windows = [(29400.0, 30000.0), (38400.0, 39600.0), (38400.0, 42000.0)]
     reqs = tuple(dataclasses.replace(r, window_open=o, window_close=c)
                  for r, (o, c) in zip(inst.requests, windows))
-    inst = dataclasses.replace(inst, requests=reqs, travel_mean=None,
-                               travel_var=None)
+    inst = dataclasses.replace(inst, requests=reqs)
     bad = solution_from_ids(inst, [[[2, 1, 3]]])   # 1 served after 2: hopeless
     assert not evaluate_solution(inst, bad).feasible
     swapped = solution_from_ids(inst, [[[1, 2, 3]]])
@@ -95,8 +94,7 @@ def test_feasible_operation_splits_overload():
     reqs = tuple(dataclasses.replace(r, demand=float(q), window_open=0.0,
                                      window_close=80000.0)
                  for r, q in zip(inst.requests, (5, 5, 5, 3, 5, 5)))
-    inst = dataclasses.replace(inst, requests=reqs, travel_mean=None,
-                               travel_var=None)
+    inst = dataclasses.replace(inst, requests=reqs)
     sol = solution_from_ids(inst, [[[1, 2, 3, 4, 5, 6]]])
     out = feasible_operation(inst, sol)
     cs = solution_cost(inst, out)
@@ -160,8 +158,7 @@ def test_solve_reports_infeasible_when_hopeless():
     # two requests that can never be served in time
     reqs = tuple(dataclasses.replace(r, window_open=10.0, window_close=20.0)
                  for r in inst.requests)
-    inst = dataclasses.replace(inst, requests=reqs, shift_start=50_000.0,
-                               travel_mean=None, travel_var=None)
+    inst = dataclasses.replace(inst, requests=reqs, shift_start=50_000.0)
     sol, ev, _ = solve(inst, 30, seed=0)
     assert not ev.feasible
     assert ev.penalized > ev.objective
