@@ -136,9 +136,14 @@ def cmd_solve(args) -> int:
 def cmd_validate(args) -> int:
     inst = load_configured_instance(args)
     data = json.loads(Path(args.solution).read_text())
-    if not isinstance(data, dict) or "amrs" not in data:
+    amrs = data.get("amrs") if isinstance(data, dict) else None
+    if not isinstance(amrs, list):
         raise StructuralError(f"solution file {args.solution} has no 'amrs' list")
-    sol = solution_from_ids(inst, [a["trips"] for a in data["amrs"]])
+    if not all(isinstance(a, dict) and isinstance(a.get("trips"), list) for a in amrs):
+        raise StructuralError(
+            f"solution file {args.solution}: every AMR must be an object with a "
+            "'trips' list")
+    sol = solution_from_ids(inst, [a["trips"] for a in amrs])
     ev = evaluate_solution(inst, sol)
     if not ev.feasible:
         print("plan is infeasible under the analytic evaluation", file=sys.stderr)

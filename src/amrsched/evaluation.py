@@ -243,13 +243,17 @@ def _amr_cost(inst, trips, caches):
 
 def solution_cost(inst: Instance, sol: Solution) -> CostSummary:
     """Memoized aggregate cost of a solution; same numbers as
-    evaluate_solution but without per-node profiles."""
+    evaluate_solution but without per-node profiles.
+
+    The solution must be structurally valid (see check_solution_structure);
+    this is not checked.  The search only builds such solutions, and plans
+    from outside enter through evaluate_solution or mc_validate, which check.
+    """
     caches = inst._caches
     cache = caches["sol"]
     hit = cache.get(sol.amrs)
     if hit is not None:
         return hit
-    check_solution_structure(inst, sol)
     dist = 0.0
     twv = 0
     flags = 0

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -171,7 +171,8 @@ def _normal_quantile_cached(p: float) -> float:
     # local import avoids a cycle: stochastic imports Gaussian from here
     from .stochastic import normal_quantile
 
-    return normal_quantile(p)
+    # an epsilon outside (0, 1) is left for validate_instance to report
+    return normal_quantile(p) if 0.0 < p < 1.0 else math.nan
 
 
 # ---------------------------------------------------------------------------
@@ -368,9 +369,16 @@ def default_shift_start(requests, distance, floor_diff, amr, stoch) -> float:
 def validate_instance(inst: Instance) -> list[str]:
     """Return a list of invariant violations, one message per offence (empty = valid)."""
     out: list[str] = []
+    numbers = [(f"{group}.{name}", value) for group in ("amr", "cost", "stoch")
+               for name, value in asdict(getattr(inst, group)).items()]
+    numbers.append(("shift_start", inst.shift_start))
     seen_ids = set()
     for i, r in enumerate(inst.requests):
         path = f"requests[{i}]"
+        numbers += [(f"{path}.{name}", value) for name, value in (
+            ("demand", r.demand), ("window", r.window_open),
+            ("window", r.window_close), ("service_mean", r.service.mean),
+            ("service_var", r.service.variance))]
         if r.id in seen_ids:
             out.append(f"{path}.id duplicates id {r.id}")
         seen_ids.add(r.id)
@@ -403,6 +411,8 @@ def validate_instance(inst: Instance) -> list[str]:
     s = inst.stoch
     if s.sigma0_sq < 0 or s.sigmaf_sq < 0:
         out.append("stoch: sigma0_sq and sigmaf_sq must be >= 0")
+    out.extend(f"{path} must be finite" for path, value in numbers
+               if not math.isfinite(value))
     out.extend(_check_matrix(inst.distance, inst.n_nodes, "distance"))
     out.extend(_check_matrix(inst.floor_diff, inst.n_nodes, "floor_diff"))
     return out
@@ -417,6 +427,9 @@ def _check_matrix(m, n, name) -> list[str]:
         if m[i][i] != 0:
             out.append(f"{name}[{i}][{i}] must be 0")
         for j in range(i + 1, n):
+            if not (math.isfinite(m[i][j]) and math.isfinite(m[j][i])):
+                out.append(f"{name}[{i}][{j}] and [{j}][{i}] must be finite")
+                continue
             if m[i][j] < 0:
                 out.append(f"{name}[{i}][{j}] must be >= 0")
             if m[i][j] != m[j][i]:
@@ -524,6 +537,8 @@ def solution_from_ids(inst: Instance, amrs: Sequence[Sequence[Sequence]]) -> Sol
     for amr in amrs:
         trips = []
         for body in amr:
+            if not isinstance(body, (list, tuple)):
+                raise StructuralError(f"trip {body!r} is not a list of stops")
             nodes = [DEPOT]
             for item in body:
                 nodes.append(_node_from_token(inst, item))
@@ -545,8 +560,11 @@ def _node_from_token(inst: Instance, item) -> int:
             if not 0 <= k < len(inst.charging_nodes):
                 raise StructuralError(f"no charging station {item!r}")
             return inst.charging_nodes[k]
-        item = int(tok)
-    rid = int(item)
+        item = tok
+    try:
+        rid = int(item)
+    except (TypeError, ValueError):
+        raise StructuralError(f"bad stop {item!r}") from None
     if rid not in inst.node_of_id:
         raise StructuralError(f"unknown request id {rid}")
     return inst.node_of_id[rid]

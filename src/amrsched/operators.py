@@ -1,11 +1,12 @@
 """Neighborhood moves, repair operators, AMR merging and the shake move.
 
-All operators are pure: they copy the incoming solution, never mutate it,
-and consume randomness only from the explicit rng argument.  Moves that
-target time-window trouble use the chance-violating request nodes of the
-incoming solution's ``CostSummary``; when nothing violates they fall back to
-the uniform random variant.  Every operator preserves the multiset of request
-nodes.
+All operators are pure: they never mutate the incoming solution (one with
+nothing to change may come back as is) and consume randomness only from the
+explicit rng argument.  Moves that target time-window trouble use the
+chance-violating request nodes of the incoming solution's ``CostSummary``;
+when nothing violates they fall back to the uniform random variant.  Every
+operator preserves the multiset of request nodes and the trip shape (depot at
+both ends, none inside), so ``solution_cost`` can skip the structure check.
 """
 
 from __future__ import annotations
@@ -226,44 +227,43 @@ def depot_insert_repair(inst: Instance, sol: Solution) -> Solution:
 def charging_insert_repair(inst: Instance, sol: Solution) -> Solution:
     """Insert the nearest charging station in front of the first node whose
     arrival battery would undershoot alpha, repeating until the whole chained
-    battery profile stays legal.
+    battery profile stays legal.  A solution that never undershoots comes
+    back unchanged.
 
     When the battery is already too low at that point for the station itself
     to be reachable, the insertion slot walks backwards along the trip.
-    Raises StructuralError when no slot works (a leg no full charge covers).
+    Raises StructuralError when no slot works (a leg no full charge covers,
+    or no charging station at all).
     """
-    lists = _to_lists(sol)
-    if not inst.charging_nodes:
-        if any(_battery_violation(inst, amr) is not None for amr in lists):
-            raise StructuralError("battery infeasible and no charging station exists")
-        return sol
     alpha = inst.amr.battery_low
     beta = inst.amr.battery_high
-    max_rounds = max(4, _REPAIR_ROUNDS_PER_REQUEST * inst.n_requests)
-    for _ in range(max_rounds):
-        for a, amr in enumerate(lists):
+    amrs = sol.amrs
+    for _ in range(max(4, _REPAIR_ROUNDS_PER_REQUEST * inst.n_requests)):
+        for a, amr in enumerate(amrs):
             hit = _battery_violation(inst, amr)
             if hit is not None:
                 break
         else:
-            return normalize_solution(lists)
+            return sol if amrs is sol.amrs else normalize_solution(amrs)
+        if not inst.charging_nodes:
+            raise StructuralError("battery infeasible and no charging station exists")
+        if amrs is sol.amrs:
+            amrs = _to_lists(sol)
         t, i, slots = hit
-        placed = False
         for ti, ni, b_prev in reversed(slots):
-            prev = lists[a][ti][ni - 1]
+            prev = amrs[a][ti][ni - 1]
             if inst.is_charging(prev):
                 continue
             station = _nearest_station(inst, prev)
             at_station = b_prev - inst.drain[prev][station]
             # the station must be reachable and the charge must change state
             if at_station >= alpha - 1e-12 and at_station < beta - 1e-12:
-                lists[a][ti].insert(ni, station)
-                placed = True
+                amrs[a][ti].insert(ni, station)
                 break
-        if not placed:
+        else:
             raise StructuralError(
                 "unrepairable battery profile: no charging slot can cover the "
-                f"leg into node {lists[a][t][i]}")
+                f"leg into node {amrs[a][t][i]}")
     raise StructuralError("charging insertion did not converge")
 
 
@@ -362,12 +362,11 @@ def shake_2opt_l(inst: Instance, sol: Solution, rng: random.Random,
             trip2 = sol.amrs[a2][t2]
             c1 = rng.randint(0, len(trip1) - 2)
             c2 = rng.randint(0, len(trip2) - 2)
-            new1 = trip1[:c1 + 1] + trip2[c2 + 1:]
-            new2 = trip2[:c2 + 1] + trip1[c1 + 1:]
-            lists = _to_lists(sol)
-            lists[a1][t1] = list(new1)
-            lists[a2][t2] = list(new2)
-            cand = normalize_solution(lists)
+            # only the two changed trips are new; the rest stay shared
+            amrs = [list(amr) for amr in sol.amrs]
+            amrs[a1][t1] = trip1[:c1 + 1] + trip2[c2 + 1:]
+            amrs[a2][t2] = trip2[:c2 + 1] + trip1[c1 + 1:]
+            cand = normalize_solution(amrs)
         else:
             a, t = flat[0]
             trip = sol.amrs[a][t]
@@ -376,9 +375,7 @@ def shake_2opt_l(inst: Instance, sol: Solution, rng: random.Random,
             i, j = sorted(rng.sample(range(1, len(trip) - 1), 2))
             body = list(trip)
             body[i:j + 1] = reversed(body[i:j + 1])
-            lists = _to_lists(sol)
-            lists[a][t] = body
-            cand = normalize_solution(lists)
+            cand = normalize_solution([[body]])
         pen = shake_cost(inst, solution_cost(inst, cand))
         if pen < best_pen:
             best = cand

@@ -18,10 +18,9 @@ import random
 
 from .model import DEPOT, Instance, Solution, StructuralError, normalize_solution
 from .evaluation import _walk_trip, evaluate_solution, solution_cost
-from .operators import (_battery_violation, _nearest_station, amr_decrease,
-                        charging_insert_repair, depot_insert_repair,
-                        relocation_star, shake_2opt_l, shake_cost, swap_star,
-                        two_opt_star)
+from .operators import (amr_decrease, charging_insert_repair,
+                        depot_insert_repair, relocation_star, shake_2opt_l,
+                        shake_cost, swap_star, two_opt_star)
 
 _NEIGHBORHOODS = (swap_star, two_opt_star, relocation_star)
 
@@ -100,22 +99,13 @@ def _insertion_cost(inst, body, pos, r):
 
 
 def _patch_battery(inst, body):
-    """Insert nearest charging stops into a single trip body until its battery
-    profile is legal; None when impossible."""
-    if not inst.charging_nodes:
+    """A single trip body with charging stops inserted by the charging repair
+    until its battery profile is legal; None when impossible."""
+    try:
+        sol = charging_insert_repair(inst, normalize_solution([[(DEPOT, *body, DEPOT)]]))
+    except StructuralError:
         return None
-    nodes = list(body)
-    for _ in range(2 * len(body) + 2):
-        trip = [DEPOT] + nodes + [DEPOT]
-        hit = _battery_violation(inst, [trip])
-        if hit is None:
-            return nodes
-        i = hit[1]
-        prev = trip[i - 1]
-        if inst.is_charging(prev):
-            return None
-        nodes.insert(i - 1, _nearest_station(inst, prev))
-    return None
+    return list(sol.amrs[0][0][1:-1])
 
 
 def local_search(inst: Instance, x: Solution, rng: random.Random) -> Solution:

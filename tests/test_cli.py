@@ -149,6 +149,11 @@ def test_solve_with_overrides(hospital12_path, capsys, tmp_path):
     ("solve", None),        # --iterations 0: ValueError from solve
     ("validate", ""),       # empty file: JSONDecodeError
     ("validate", "{}"),     # no "amrs" key
+    ("validate", '{"amrs": [{}]}'),             # AMR without "trips"
+    ("validate", '{"amrs": [{"trips": 5}]}'),   # "trips" not a list
+    ("validate", '{"amrs": [5]}'),              # AMR not an object
+    ("validate", '{"amrs": [{"trips": [5]}]}'),  # trip body not a list
+    ("validate", '{"amrs": [{"trips": [[{}]]}]}'),  # stop not an id
 ])
 def test_bad_input_is_one_error_line(command, solution_text, hospital12_path,
                                      tmp_path, capsys):

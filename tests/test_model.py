@@ -1,6 +1,8 @@
 import json
 import math
 import random
+from functools import reduce
+from operator import getitem
 
 import pytest
 
@@ -102,6 +104,22 @@ def test_validate_flags_asymmetry(hospital12):
     data = instance_to_dict(hospital12)
     data["distance"][0][1] = 999
     with pytest.raises(InstanceError, match=r"distance\[0\]\[1\]"):
+        load_instance(json.dumps(data))
+
+
+@pytest.mark.parametrize("keys, value, message", [
+    ([("amr", "speed")], math.inf, r"amr\.speed must be finite"),
+    ([("distance", 0, 1), ("distance", 1, 0)], math.nan,
+     r"distance\[0\]\[1\] and \[1\]\[0\] must be finite"),
+    ([("requests", 3, "service_var")], math.inf,
+     r"requests\[3\]\.service_var must be finite"),
+    ([("cost", "epsilon")], math.nan, r"cost\.epsilon must be finite"),
+])
+def test_validate_rejects_non_finite(hospital12, keys, value, message):
+    data = instance_to_dict(hospital12)
+    for *parents, last in keys:
+        reduce(getitem, parents, data)[last] = value
+    with pytest.raises(InstanceError, match=message):
         load_instance(json.dumps(data))
 
 

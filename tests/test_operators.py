@@ -4,12 +4,14 @@ from collections import Counter
 import pytest
 
 from amrsched.model import (DEPOT, Solution, StructuralError,
-                            normalize_solution, solution_from_ids)
+                            check_solution_structure, normalize_solution,
+                            solution_from_ids)
 from amrsched.evaluation import evaluate_solution, solution_cost
 from amrsched.operators import (amr_decrease, charging_insert_repair,
                                 depot_insert_repair, relocation_star,
                                 shake_2opt_l, shake_cost, swap_star,
                                 two_opt_star)
+from amrsched.vns import greedy_initial
 from helpers import paper_optimum, random_instance, random_solution
 
 
@@ -195,7 +197,23 @@ def test_charging_insert_repairs_battery():
 
 def test_charging_insert_noop_on_feasible(hospital12):
     sol = paper_optimum(hospital12)
-    assert charging_insert_repair(hospital12, sol) == sol
+    assert charging_insert_repair(hospital12, sol) is sol
+
+
+def test_charging_insert_without_station_raises():
+    import dataclasses
+    rng = random.Random(30)
+    inst = random_instance(rng, 6, tight_battery=True)
+    # drop the only charging station (the last node) from the instance
+    inst = dataclasses.replace(
+        inst, charging_floors=(),
+        distance=tuple(row[:-1] for row in inst.distance[:-1]),
+        floor_diff=tuple(row[:-1] for row in inst.floor_diff[:-1]))
+    assert not inst.charging_nodes
+    sol = solution_from_ids(inst, [[[1, 2, 3, 4, 5, 6]]])
+    assert not all(t.battery_ok for t in evaluate_solution(inst, sol).per_trip)
+    with pytest.raises(StructuralError, match="no charging station"):
+        charging_insert_repair(inst, sol)
 
 
 def test_repair_completeness_random_sweep():
@@ -350,17 +368,24 @@ def test_shake_empty_tails_noop(hospital12):
 
 
 def test_operators_preserve_requests_random_sweep():
+    """Every operator output is structurally valid and serves the same
+    requests: the contract that lets solution_cost skip the structure check."""
     rng = random.Random(8)
-    ops = (swap_star, two_opt_star, relocation_star)
-    for _ in range(40):
-        inst = random_instance(rng, rng.randint(2, 9))
+    for case in range(40):
+        inst = random_instance(rng, rng.randint(2, 9),
+                               tight_battery=case % 2 == 1)
         sol = random_solution(rng, inst)
         ev = solution_cost(inst, sol)
-        for op in ops:
-            out = op(inst, sol, ev, rng)
+        outs = [op(inst, sol, ev, rng)
+                for op in (swap_star, two_opt_star, relocation_star)]
+        outs.append(shake_2opt_l(inst, sol, rng, candidates=5))
+        outs.append(depot_insert_repair(inst, sol))
+        outs.append(charging_insert_repair(inst, outs[-1]))
+        outs.append(amr_decrease(inst, outs[-1]))
+        outs.append(greedy_initial(inst, rng))
+        for out in outs:
+            check_solution_structure(inst, out)
             assert request_multiset(inst, out) == request_multiset(inst, sol)
-        out = shake_2opt_l(inst, sol, rng, candidates=5)
-        assert request_multiset(inst, out) == request_multiset(inst, sol)
 
 
 def test_swap_star_targeted_removes_forbidden_pair(hospital12):
