@@ -16,8 +16,9 @@ from multiprocessing import Pool
 from pathlib import Path
 
 from .evaluation import evaluate_solution, route_table, solution_to_dict
-from .model import (Instance, StructuralError, load_instance, scale_distance,
-                    scale_variance, serialize_instance, solution_from_ids)
+from .model import (Instance, InstanceError, StructuralError, load_instance,
+                    scale_distance, scale_variance, serialize_instance,
+                    solution_from_ids, validate_instance)
 from .oracle import NoFeasibleSolution, exact_solve, mc_validate
 from .vns import solve
 
@@ -103,6 +104,9 @@ def load_configured_instance(args) -> Instance:
         inst = scale_variance(inst, args.scale_variance)
     if args.scale_distance is not None:
         inst = scale_distance(inst, args.scale_distance)
+    violations = validate_instance(inst)
+    if violations:
+        raise InstanceError("invalid options: " + "; ".join(violations))
     return inst
 
 
@@ -139,11 +143,8 @@ def cmd_validate(args) -> int:
     amrs = data.get("amrs") if isinstance(data, dict) else None
     if not isinstance(amrs, list):
         raise StructuralError(f"solution file {args.solution} has no 'amrs' list")
-    if not all(isinstance(a, dict) and isinstance(a.get("trips"), list) for a in amrs):
-        raise StructuralError(
-            f"solution file {args.solution}: every AMR must be an object with a "
-            "'trips' list")
-    sol = solution_from_ids(inst, [a["trips"] for a in amrs])
+    sol = solution_from_ids(
+        inst, [a.get("trips") if isinstance(a, dict) else None for a in amrs])
     ev = evaluate_solution(inst, sol)
     if not ev.feasible:
         print("plan is infeasible under the analytic evaluation", file=sys.stderr)

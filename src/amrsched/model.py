@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -145,6 +146,10 @@ class Instance:
         self.drain = [
             [d * self.amr.consume_rate for d in drow] for drow in self.distance
         ]
+        if not 0.0 < self.cost.epsilon < 1.0:
+            # checked on every construction: a NaN quantile passes every
+            # chance test, so no Instance may carry a bad epsilon
+            raise InstanceError("cost.epsilon must be in (0, 1)")
         self.z_quantile = _normal_quantile_cached(1.0 - self.cost.epsilon)
         # evaluation.solution_cost memos, keyed by trip, AMR and solution
         self._caches = {"trip": {}, "amr": {}, "sol": {}}
@@ -171,8 +176,7 @@ def _normal_quantile_cached(p: float) -> float:
     # local import avoids a cycle: stochastic imports Gaussian from here
     from .stochastic import normal_quantile
 
-    # an epsilon outside (0, 1) is left for validate_instance to report
-    return normal_quantile(p) if 0.0 < p < 1.0 else math.nan
+    return normal_quantile(p)
 
 
 # ---------------------------------------------------------------------------
@@ -404,8 +408,6 @@ def validate_instance(inst: Instance) -> list[str]:
     c = inst.cost
     if min(c.fixed_per_amr, c.per_meter, c.tw_penalty) < 0:
         out.append("cost: xi1, xi2, xi3 must be >= 0")
-    if not 0 < c.epsilon < 1:
-        out.append("cost.epsilon must be in (0, 1)")
     if not c.shake_delta > 1:
         out.append("cost.delta must be > 1")
     s = inst.stoch
@@ -535,6 +537,8 @@ def solution_from_ids(inst: Instance, amrs: Sequence[Sequence[Sequence]]) -> Sol
     """
     out = []
     for amr in amrs:
+        if not isinstance(amr, (list, tuple)):
+            raise StructuralError(f"AMR {amr!r} is not a list of trips")
         trips = []
         for body in amr:
             if not isinstance(body, (list, tuple)):
@@ -551,20 +555,24 @@ def solution_from_ids(inst: Instance, amrs: Sequence[Sequence[Sequence]]) -> Sol
 
 
 def _node_from_token(inst: Instance, item) -> int:
+    """A stop is an integer request id (not a bool or float) or a string:
+    an id in digits, 'd', 'c' or 'c<k>'."""
     if isinstance(item, str):
         tok = item.strip().lower()
         if tok == "d":
             return DEPOT
-        if tok.startswith("c"):
-            k = int(tok[1:]) - 1 if len(tok) > 1 else 0
+        if tok == "c" or tok[:1] == "c" and tok[1:].isdecimal():
+            k = int(tok[1:] or 1) - 1
             if not 0 <= k < len(inst.charging_nodes):
                 raise StructuralError(f"no charging station {item!r}")
             return inst.charging_nodes[k]
-        item = tok
-    try:
+        if not tok.removeprefix("-").isdecimal():
+            raise StructuralError(f"bad stop {item!r}")
+        rid = int(tok)
+    elif isinstance(item, numbers.Integral) and not isinstance(item, bool):
         rid = int(item)
-    except (TypeError, ValueError):
-        raise StructuralError(f"bad stop {item!r}") from None
+    else:
+        raise StructuralError(f"bad stop {item!r}")
     if rid not in inst.node_of_id:
         raise StructuralError(f"unknown request id {rid}")
     return inst.node_of_id[rid]

@@ -231,9 +231,9 @@ def charging_insert_repair(inst: Instance, sol: Solution) -> Solution:
     back unchanged.
 
     When the battery is already too low at that point for the station itself
-    to be reachable, the insertion slot walks backwards along the trip.
-    Raises StructuralError when no slot works (a leg no full charge covers,
-    or no charging station at all).
+    to be reachable, the insertion slot walks backwards along the AMR, no
+    further than its last charging stop.  Raises StructuralError when no slot
+    works (a leg no full charge covers, or no charging station at all).
     """
     alpha = inst.amr.battery_low
     beta = inst.amr.battery_high
@@ -270,10 +270,11 @@ def charging_insert_repair(inst: Instance, sol: Solution) -> Solution:
 def _battery_violation(inst, trips):
     """First sub-alpha arrival along one AMR's chained trips, else None.
 
-    Returns (trip_index, node_index, slots): slots lists every insertion
-    point up to and including the violating one, as (trip_index, node_index,
-    battery when leaving the preceding node).  A charging station tops a
-    battery below beta up to beta.
+    Returns (trip_index, node_index, slots): slots lists the insertion
+    points since the last charging station up to and including the violating
+    one, as (trip_index, node_index, battery when leaving the preceding node).
+    A charging station tops a battery below beta up to beta, so no station
+    placed before it can raise the battery after it.
     """
     alpha = inst.amr.battery_low
     beta = inst.amr.battery_high
@@ -288,8 +289,10 @@ def _battery_violation(inst, trips):
             battery -= drain[prev][node]
             if battery < alpha - 1e-12:
                 return t, i, slots
-            if inst.is_charging(node) and battery < beta - 1e-12:
-                battery = beta
+            if inst.is_charging(node):
+                if battery < beta - 1e-12:
+                    battery = beta
+                slots = []
             prev = node
     return None
 

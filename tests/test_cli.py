@@ -154,6 +154,7 @@ def test_solve_with_overrides(hospital12_path, capsys, tmp_path):
     ("validate", '{"amrs": [5]}'),              # AMR not an object
     ("validate", '{"amrs": [{"trips": [5]}]}'),  # trip body not a list
     ("validate", '{"amrs": [{"trips": [[{}]]}]}'),  # stop not an id
+    ("validate", '{"amrs": [{"trips": [[1e400]]}]}'),  # inf stop
 ])
 def test_bad_input_is_one_error_line(command, solution_text, hospital12_path,
                                      tmp_path, capsys):
@@ -164,6 +165,25 @@ def test_bad_input_is_one_error_line(command, solution_text, hospital12_path,
         path = tmp_path / "sol.json"
         path.write_text(solution_text)
         argv += ["--solution", path]
+    assert_one_error_line(argv, capsys)
+
+
+@pytest.mark.parametrize("option, value", [
+    ("--epsilon", 0),
+    ("--epsilon", 1),
+    ("--epsilon", "nan"),
+    ("--delta", 1),
+    ("--xi1", -1),
+    ("--scale-variance", "nan"),
+])
+def test_bad_option_is_one_error_line(option, value, hospital12_path, capsys):
+    """An override that breaks an instance invariant is refused before any
+    plan is built (a NaN chance quantile would pass every plan)."""
+    assert_one_error_line(["solve", "--instance", hospital12_path,
+                           "--iterations", 5, option, value], capsys)
+
+
+def assert_one_error_line(argv, capsys):
     code = run(argv)
     err = capsys.readouterr().err
     assert code == 1

@@ -6,9 +6,9 @@ from operator import getitem
 
 import pytest
 
-from amrsched.model import (InstanceError, instance_to_dict, load_instance,
-                            parse_time, format_time, scale_distance,
-                            scale_variance, serialize_instance,
+from amrsched.model import (InstanceError, StructuralError, instance_to_dict,
+                            load_instance, parse_time, format_time,
+                            scale_distance, scale_variance, serialize_instance,
                             solution_from_ids, validate_instance)
 from amrsched.evaluation import evaluate_solution, solution_cost
 from amrsched.vns import solve
@@ -113,7 +113,7 @@ def test_validate_flags_asymmetry(hospital12):
      r"distance\[0\]\[1\] and \[1\]\[0\] must be finite"),
     ([("requests", 3, "service_var")], math.inf,
      r"requests\[3\]\.service_var must be finite"),
-    ([("cost", "epsilon")], math.nan, r"cost\.epsilon must be finite"),
+    ([("cost", "epsilon")], math.nan, r"cost\.epsilon must be in \(0, 1\)"),
 ])
 def test_validate_rejects_non_finite(hospital12, keys, value, message):
     data = instance_to_dict(hospital12)
@@ -209,6 +209,16 @@ def test_scale_variance_rescales_all_variances(hospital12):
     assert scaled.requests[0].service.variance == 360.0
     assert scaled.travel_var[0][1] == pytest.approx(200.0)
     assert scaled.travel_mean[0][1] == hospital12.travel_mean[0][1]
+
+
+@pytest.mark.parametrize("amrs", [
+    [5], [None], [{"trips": [[1]]}],          # AMR not a list of trips
+    [[5]], [["1"]],                           # trip not a list of stops
+    *([[[stop]]] for stop in (True, 1.0, 1.7, math.inf, None, {}, "cx", "1a")),
+])
+def test_solution_from_ids_rejects_bad_shape(hospital12, amrs):
+    with pytest.raises(StructuralError, match="is not a list of|bad stop"):
+        solution_from_ids(hospital12, amrs)
 
 
 def test_solution_from_ids_round_trip(hospital12):

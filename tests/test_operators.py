@@ -216,6 +216,25 @@ def test_charging_insert_without_station_raises():
         charging_insert_repair(inst, sol)
 
 
+def test_charging_insert_stops_at_last_charging_stop():
+    """Trip d->1->d where no full charge covers the leg into request 1: the
+    repair places the station once, then reports the leg as unrepairable
+    instead of stacking more stations in front of it."""
+    import dataclasses
+    inst = random_instance(random.Random(31), 1)
+    assert inst.charging_nodes == (2,)
+    far = 1000.0
+    distance = ((0.0, far, 10.0), (far, 0.0, far), (10.0, far, 0.0))
+    inst = dataclasses.replace(
+        inst, distance=distance, floor_diff=((0.0,) * 3,) * 3,
+        amr=dataclasses.replace(inst.amr, consume_rate=0.9 / far,
+                                battery_init=inst.amr.battery_high))
+    sol = solution_from_ids(inst, [[[1]]])
+    with pytest.raises(StructuralError,
+                       match="unrepairable battery profile.* node 1$"):
+        charging_insert_repair(inst, sol)
+
+
 def test_repair_completeness_random_sweep():
     rng = random.Random(77)
     repaired_battery = 0
