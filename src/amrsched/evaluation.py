@@ -179,7 +179,7 @@ def evaluate_solution(inst: Instance, sol: Solution) -> SolutionEvaluation:
             t = te.timings[-1].arrival.mean
             battery = te.battery_after[-1]
     m = len(sol.amrs)
-    objective = inst.cost.fixed_per_amr * m + inst.cost.per_meter * total_distance
+    objective = _objective(inst, m, total_distance)
     penalized = objective + inst.cost.tw_penalty * (tw_violations + flag_failures)
     feasible = tw_violations == 0 and flag_failures == 0
     return SolutionEvaluation(
@@ -254,33 +254,35 @@ def solution_cost(inst: Instance, sol: Solution) -> CostSummary:
     hit = cache.get(sol.amrs)
     if hit is not None:
         return hit
-    dist = 0.0
-    twv = 0
-    flags = 0
-    viol = ()
-    for trips in sol.amrs:
-        d, tv_, cap_n, bat_n, v = _amr_cost(inst, trips, caches)
-        dist += d
-        twv += tv_
-        flags += cap_n + bat_n
-        viol += v
-    m = len(sol.amrs)
-    objective = inst.cost.fixed_per_amr * m + inst.cost.per_meter * dist
-    penalized = objective + inst.cost.tw_penalty * (twv + flags)
-    result = CostSummary(
-        objective=objective,
-        penalized=penalized,
-        feasible=twv == 0 and flags == 0,
-        m=m,
-        distance=dist,
-        tw_violations=twv,
-        flag_failures=flags,
-        violating=viol,
-    )
+    result = _summarize(inst, [_amr_cost(inst, trips, caches) for trips in sol.amrs])
     if len(cache) >= _SOL_CACHE_LIMIT:
         cache.clear()
     cache[sol.amrs] = result
     return result
+
+
+def _summarize(inst, amr_costs) -> CostSummary:
+    """Aggregate per-AMR ``_amr_cost`` records, in AMR order, into a
+    CostSummary.  Every aggregate cost goes through here, so two callers that
+    sum the same records get bit-equal floats."""
+    dist = 0.0
+    twv = 0
+    flags = 0
+    viol = ()
+    for d, tv_, cap_n, bat_n, v in amr_costs:
+        dist += d
+        twv += tv_
+        flags += cap_n + bat_n
+        viol += v
+    m = len(amr_costs)
+    objective = _objective(inst, m, dist)
+    # positional: the shake builds one per scored candidate
+    return CostSummary(objective, objective + inst.cost.tw_penalty * (twv + flags),
+                       twv == 0 and flags == 0, m, dist, twv, flags, viol)
+
+
+def _objective(inst, m, dist) -> float:
+    return inst.cost.fixed_per_amr * m + inst.cost.per_meter * dist
 
 
 # ---------------------------------------------------------------------------

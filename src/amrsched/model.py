@@ -185,7 +185,7 @@ def _normal_quantile_cached(p: float) -> float:
 
 def parse_time(value) -> float:
     """Accept seconds-of-day numbers or clock strings like '8:10' / '8:10:30'."""
-    if isinstance(value, (int, float)):
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
         return float(value)
     parts = str(value).strip().split(":")
     if not 2 <= len(parts) <= 3 or not all(p.strip() for p in parts):
@@ -255,7 +255,9 @@ def _read_source(source) -> str:
 _MISSING = object()
 
 
-def _get(data: dict, key: str, path: str, default=_MISSING):
+def _get(data, key: str, path: str, default=_MISSING):
+    if not isinstance(data, dict):
+        raise InstanceError(f"{path or 'instance'} must be an object")
     if key in data:
         return data[key]
     if default is not _MISSING:
@@ -263,36 +265,87 @@ def _get(data: dict, key: str, path: str, default=_MISSING):
     raise InstanceError(f"missing field {path}.{key}" if path else f"missing field {key}")
 
 
-def _instance_from_dict(data: dict) -> Instance:
+def _list(value, path: str) -> list:
+    if not isinstance(value, list):
+        raise InstanceError(f"{path} must be a list")
+    return value
+
+
+def _number(value, path: str) -> float:
+    """A JSON number as a float (a bool is not one); InstanceError naming
+    ``path`` otherwise."""
+    if type(value) in (int, float):
+        try:
+            return float(value)
+        except OverflowError:
+            pass
+    raise InstanceError(f"{path} must be a number")
+
+
+def _integer(value, path: str) -> int:
+    if type(value) is int:
+        return value
+    if type(value) is float and value.is_integer():
+        return int(value)
+    raise InstanceError(f"{path} must be an integer")
+
+
+def _time(value, path: str) -> float:
+    try:
+        return parse_time(value)
+    except (InstanceError, OverflowError):
+        raise InstanceError(f"{path} must be seconds or a clock time") from None
+
+
+def _field(data, key: str, path: str, default=_MISSING) -> float:
+    return _number(_get(data, key, path, default), f"{path}.{key}")
+
+
+def _matrix(rows, name: str) -> tuple[tuple[float, ...], ...]:
+    out = []
+    for i, row in enumerate(_list(rows, name)):
+        row = _list(row, f"{name}[{i}]")
+        if not all(type(x) in (int, float) for x in row):
+            # name the first entry that is not a number
+            for j, x in enumerate(row):
+                _number(x, f"{name}[{i}][{j}]")
+        try:
+            out.append(tuple(map(float, row)))
+        except OverflowError:
+            raise InstanceError(f"{name}[{i}] holds a number too large") from None
+    return tuple(out)
+
+
+def _instance_from_dict(data) -> Instance:
     requests = []
-    for i, rd in enumerate(_get(data, "requests", "")):
+    for i, rd in enumerate(_list(_get(data, "requests", ""), "requests")):
         path = f"requests[{i}]"
         window = _get(rd, "window", path)
         if not isinstance(window, (list, tuple)) or len(window) != 2:
             raise InstanceError(f"{path}.window must be [open, close]")
         requests.append(
             Request(
-                id=int(_get(rd, "id", path)),
-                demand=float(_get(rd, "demand", path)),
-                window_open=parse_time(window[0]),
-                window_close=parse_time(window[1]),
-                service=Gaussian(
-                    float(_get(rd, "service_mean", path)),
-                    float(_get(rd, "service_var", path)),
-                ),
-                floor=int(_get(rd, "floor", path)),
+                id=_integer(_get(rd, "id", path), f"{path}.id"),
+                demand=_field(rd, "demand", path),
+                window_open=_time(window[0], f"{path}.window[0]"),
+                window_close=_time(window[1], f"{path}.window[1]"),
+                service=Gaussian(_field(rd, "service_mean", path),
+                                 _field(rd, "service_var", path)),
+                floor=_integer(_get(rd, "floor", path), f"{path}.floor"),
             )
         )
-    depot_floor = int(_get(_get(data, "depot", ""), "floor", "depot"))
-    charging_floors = tuple(int(_get(c, "floor", f"charging[{i}]"))
-                            for i, c in enumerate(data.get("charging", [])))
+    depot_floor = _integer(_get(_get(data, "depot", ""), "floor", "depot"),
+                           "depot.floor")
+    charging_floors = tuple(
+        _integer(_get(c, "floor", f"charging[{i}]"), f"charging[{i}].floor")
+        for i, c in enumerate(_list(_get(data, "charging", "", []), "charging")))
     n_nodes = len(requests) + 1 + len(charging_floors)
 
     floors = [depot_floor] + [r.floor for r in requests] + list(charging_floors)
     if "distance" in data:
-        distance = tuple(tuple(float(x) for x in row) for row in data["distance"])
+        distance = _matrix(data["distance"], "distance")
     elif "coordinates" in data:
-        coords = [tuple(map(float, xy)) for xy in data["coordinates"]]
+        coords = _matrix(data["coordinates"], "coordinates")
         if len(coords) != n_nodes:
             raise InstanceError(
                 f"coordinates has {len(coords)} entries, expected {n_nodes}")
@@ -302,7 +355,7 @@ def _instance_from_dict(data: dict) -> Instance:
     else:
         raise InstanceError("missing field distance (or coordinates)")
     if "floor_diff" in data:
-        floor_diff = tuple(tuple(float(x) for x in row) for row in data["floor_diff"])
+        floor_diff = _matrix(data["floor_diff"], "floor_diff")
     else:
         floor_diff = tuple(
             tuple(float(abs(fi - fj)) for fj in floors) for fi in floors
@@ -310,31 +363,31 @@ def _instance_from_dict(data: dict) -> Instance:
 
     ad = _get(data, "amr", "")
     amr = AmrParams(
-        capacity=float(_get(ad, "capacity", "amr")),
-        speed=float(_get(ad, "speed", "amr")),
-        consume_rate=float(_get(ad, "consume_rate", "amr")),
-        charge_rate=float(_get(ad, "charge_rate", "amr")),
-        battery_low=float(_get(ad, "alpha", "amr")),
-        battery_high=float(_get(ad, "beta", "amr")),
-        battery_init=float(ad.get("battery_init", 1.0)),
+        capacity=_field(ad, "capacity", "amr"),
+        speed=_field(ad, "speed", "amr"),
+        consume_rate=_field(ad, "consume_rate", "amr"),
+        charge_rate=_field(ad, "charge_rate", "amr"),
+        battery_low=_field(ad, "alpha", "amr"),
+        battery_high=_field(ad, "beta", "amr"),
+        battery_init=_field(ad, "battery_init", "amr", 1.0),
     )
     cd = _get(data, "cost", "")
     cost = CostParams(
-        fixed_per_amr=float(_get(cd, "xi1", "cost")),
-        per_meter=float(_get(cd, "xi2", "cost")),
-        tw_penalty=float(cd.get("xi3", 1000.0)),
-        epsilon=float(_get(cd, "epsilon", "cost")),
-        shake_delta=float(cd.get("delta", 1.1)),
+        fixed_per_amr=_field(cd, "xi1", "cost"),
+        per_meter=_field(cd, "xi2", "cost"),
+        tw_penalty=_field(cd, "xi3", "cost", 1000.0),
+        epsilon=_field(cd, "epsilon", "cost"),
+        shake_delta=_field(cd, "delta", "cost", 1.1),
     )
-    sd = data.get("stoch", {})
+    sd = _get(data, "stoch", "", {})
     stoch = StochasticParams(
-        floor_time_mean=float(sd.get("floor_time_mean", 51.25)),
-        stop_overhead=float(sd.get("stop_overhead", 6.0)),
-        sigma0_sq=float(sd.get("sigma0_sq", 4.0)),
-        sigmaf_sq=float(sd.get("sigmaf_sq", 16.0)),
+        floor_time_mean=_field(sd, "floor_time_mean", "stoch", 51.25),
+        stop_overhead=_field(sd, "stop_overhead", "stoch", 6.0),
+        sigma0_sq=_field(sd, "sigma0_sq", "stoch", 4.0),
+        sigmaf_sq=_field(sd, "sigmaf_sq", "stoch", 16.0),
     )
-    if "shift_start" in data and data["shift_start"] is not None:
-        shift_start = parse_time(data["shift_start"])
+    if data.get("shift_start") is not None:
+        shift_start = _time(data["shift_start"], "shift_start")
     else:
         shift_start = default_shift_start(requests, distance, floor_diff, amr, stoch)
     return Instance(

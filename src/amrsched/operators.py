@@ -15,7 +15,7 @@ import math
 import random
 
 from .model import DEPOT, Instance, Solution, StructuralError, normalize_solution
-from .evaluation import solution_cost
+from .evaluation import _amr_cost, _objective, _summarize, solution_cost
 
 _REPAIR_ROUNDS_PER_REQUEST = 2
 
@@ -345,42 +345,131 @@ def shake_cost(inst: Instance, summary) -> float:
 
 def shake_2opt_l(inst: Instance, sol: Solution, rng: random.Random,
                  candidates: int = 20) -> Solution:
-    """Best of L random inter-trip tail exchanges (by shake_cost).
+    """Best of L random inter-trip tail exchanges (by shake_cost); ties go to
+    the first-drawn candidate.
 
     With fewer than two trips the move degrades to a best-of-L random
     intra-trip reversal.
+
+    A candidate changes one or two AMRs, so it is scored from the incumbent's
+    per-AMR costs with only the changed AMRs re-priced, and only the winner
+    is built.  Candidates whose changed AMRs are all cached are scored at
+    once.  The rest are priced in ascending order of their objective
+    xi1*m + xi2*distance, until that lower bound cannot beat the best score
+    found: the shake cost adds xi1 (>= 0 by validate_instance) times a
+    violation count to the very same float.
     """
     flat = [(a, t) for a, amr in enumerate(sol.amrs) for t in range(len(amr))]
     if not flat:
         return sol
+    caches = inst._caches
+    amr_cache = caches["amr"]
+    base = [_amr_cost(inst, trips, caches) for trips in sol.amrs]
+
     # The incumbent itself is not part of the generated neighborhood: the best
     # candidate may be worse, and the delta acceptance rule downstream decides
     # whether the perturbation is kept.
-    best = None
-    best_pen = math.inf
-    for _ in range(candidates):
-        if len(flat) >= 2:
-            (a1, t1), (a2, t2) = (flat[k] for k in rng.sample(range(len(flat)), 2))
-            trip1 = sol.amrs[a1][t1]
-            trip2 = sol.amrs[a2][t2]
-            c1 = rng.randint(0, len(trip1) - 2)
-            c2 = rng.randint(0, len(trip2) - 2)
-            # only the two changed trips are new; the rest stay shared
-            amrs = [list(amr) for amr in sol.amrs]
-            amrs[a1][t1] = trip1[:c1 + 1] + trip2[c2 + 1:]
-            amrs[a2][t2] = trip2[:c2 + 1] + trip1[c1 + 1:]
-            cand = normalize_solution(amrs)
-        else:
-            a, t = flat[0]
-            trip = sol.amrs[a][t]
-            if len(trip) < 4:
-                continue
-            i, j = sorted(rng.sample(range(1, len(trip) - 1), 2))
-            body = list(trip)
-            body[i:j + 1] = reversed(body[i:j + 1])
-            cand = normalize_solution([[body]])
-        pen = shake_cost(inst, solution_cost(inst, cand))
-        if pen < best_pen:
-            best = cand
-            best_pen = pen
-    return best if best is not None else sol
+    best = (math.inf, -1)       # (score, draw index) of the winner so far
+    winner = None
+    bounded = []
+    for k in range(candidates):
+        change = _shake_candidate(sol, flat, rng)
+        if change is None:
+            continue
+        amr_costs = base.copy()
+        for a, trips in change:
+            amr_costs[a] = amr_cache.get(trips) if trips else ()
+        if None in amr_costs:
+            bounded.append((_objective_bound(inst, base, change), k, change))
+            continue
+        key = (_shake_score(inst, amr_costs), k)
+        if key < best:
+            best, winner = key, change
+    bounded.sort()
+    for bound, k, change in bounded:
+        if (bound, k) >= best:
+            break
+        amr_costs = base.copy()
+        for a, trips in change:
+            amr_costs[a] = _amr_cost(inst, trips, caches) if trips else ()
+        key = (_shake_score(inst, amr_costs), k)
+        if key < best:
+            best, winner = key, change
+    if winner is None:
+        return sol
+    amrs = list(sol.amrs)
+    for a, trips in winner:
+        amrs[a] = trips
+    return normalize_solution(amrs)
+
+
+def _shake_score(inst, amr_costs):
+    """shake_cost from per-AMR cost records in AMR order; () marks a
+    removed AMR."""
+    if () in amr_costs:
+        amr_costs = [cost for cost in amr_costs if cost]
+    return shake_cost(inst, _summarize(inst, amr_costs))
+
+
+def _shake_candidate(sol, flat, rng):
+    """Draw the next shake candidate as the AMRs it changes: a tuple of
+    (AMR index, new trips), where emptied trips are dropped and an AMR left
+    with no trips gets ().  None when the only trip is too short to reverse;
+    that draws nothing."""
+    if len(flat) >= 2:
+        i, j = rng.sample(range(len(flat)), 2)
+        a1, t1 = flat[i]
+        a2, t2 = flat[j]
+        trip1 = sol.amrs[a1][t1]
+        trip2 = sol.amrs[a2][t2]
+        c1 = rng.randint(0, len(trip1) - 2)
+        c2 = rng.randint(0, len(trip2) - 2)
+        new1 = trip1[:c1 + 1] + trip2[c2 + 1:]
+        new2 = trip2[:c2 + 1] + trip1[c1 + 1:]
+        if a1 != a2:
+            return ((a1, _with_trip(sol.amrs[a1], t1, new1)),
+                    (a2, _with_trip(sol.amrs[a2], t2, new2)))
+        trips = list(sol.amrs[a1])
+        trips[t1] = new1
+        trips[t2] = new2
+        return ((a1, tuple([t for t in trips if len(t) > 2])),)
+    a, t = flat[0]
+    trip = sol.amrs[a][t]
+    if len(trip) < 4:
+        return None
+    i, j = sorted(rng.sample(range(1, len(trip) - 1), 2))
+    return ((a, (trip[:i] + trip[i:j + 1][::-1] + trip[j + 1:],)),)
+
+
+def _with_trip(trips, t, trip):
+    """trips with trip t replaced, or dropped when the new trip is empty."""
+    if len(trip) > 2:
+        return trips[:t] + (trip,) + trips[t + 1:]
+    return trips[:t] + trips[t + 1:]
+
+
+def _objective_bound(inst, base, change):
+    """Objective xi1*m + xi2*distance of a shake candidate, from the
+    incumbent's per-AMR costs and the changed AMRs' legs.  Legs, trips and
+    AMRs are summed in the order the trip recurrence and the cost aggregate
+    sum them, so this is the float a full score of the candidate starts from.
+    """
+    dmat = inst.distance
+    amr_dist = [cost[0] for cost in base]
+    for a, trips in change:
+        d = 0.0
+        for trip in trips:
+            trip_d = 0.0
+            prev = trip[0]
+            for node in trip[1:]:
+                trip_d += dmat[prev][node]
+                prev = node
+            d += trip_d
+        amr_dist[a] = d if trips else None
+    m = 0
+    dist = 0.0
+    for d in amr_dist:
+        if d is not None:
+            m += 1
+            dist += d
+    return _objective(inst, m, dist)

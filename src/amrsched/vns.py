@@ -132,7 +132,9 @@ def feasible_operation(inst: Instance, x: Solution) -> Solution:
 
     Repairs loop because a depot split changes the distances travelled and
     therefore the battery plan; chance-constraint violations are left to the
-    penalized search.
+    penalized search.  A battery profile no charging stop can repair ends the
+    repairs: the plan goes on with its flags, so a search that never clears
+    them returns its least-penalized plan, flagged infeasible.
     """
     cs = solution_cost(inst, x)
     rounds = max(4, 2 * inst.n_requests)
@@ -140,7 +142,10 @@ def feasible_operation(inst: Instance, x: Solution) -> Solution:
         if cs.flag_failures == 0:
             break
         x = depot_insert_repair(inst, x)
-        x = charging_insert_repair(inst, x)
+        try:
+            x = charging_insert_repair(inst, x)
+        except StructuralError:
+            break
         cs = solution_cost(inst, x)
     else:
         raise StructuralError("repair pipeline did not converge")

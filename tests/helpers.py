@@ -82,6 +82,22 @@ def random_instance(rng: random.Random, n_requests: int, *,
                     cost=cost, stoch=stoch, shift_start=shift)
 
 
+def battery_starved_payload(charger: bool = True) -> dict:
+    """hospital12 as a JSON payload with a battery no charging stop can save:
+    it starts at 0.5 with alpha = 0.1 and the longest leg drains 0.5/1.05.
+    Without ``charger`` the charging station is removed as well."""
+    data = json.loads((INSTANCE_DIR / "hospital12.json").read_text())
+    longest = max(max(row) for row in data["distance"])
+    data["amr"].update(consume_rate=0.5 / (1.05 * longest), alpha=0.1,
+                       battery_init=0.5)
+    if not charger:
+        keep = len(data["distance"]) - len(data["charging"])
+        data["charging"] = []
+        for name in ("distance", "floor_diff"):
+            data[name] = [row[:keep] for row in data[name][:keep]]
+    return data
+
+
 def random_solution(rng: random.Random, inst: Instance,
                     max_trip: int = 6) -> Solution:
     """Random covering solution; may break capacity, battery or windows."""
@@ -98,6 +114,49 @@ def random_solution(rng: random.Random, inst: Instance,
         else:
             amrs.append([trip])
     return normalize_solution(amrs)
+
+
+def reference_shake(inst: Instance, sol: Solution, rng: random.Random,
+                    candidates: int = 20):
+    """The shake as a plain loop: build every candidate in full, price it
+    with solution_cost and keep the first-drawn minimum of shake_cost.
+    Returns (pick, candidates built); it draws from rng exactly as
+    operators.shake_2opt_l must."""
+    from amrsched.evaluation import solution_cost
+    from amrsched.operators import shake_cost
+
+    flat = [(a, t) for a, amr in enumerate(sol.amrs) for t in range(len(amr))]
+    if not flat:
+        return sol, []
+    best = None
+    best_pen = math.inf
+    built = []
+    for _ in range(candidates):
+        if len(flat) >= 2:
+            (a1, t1), (a2, t2) = (flat[k] for k in rng.sample(range(len(flat)), 2))
+            trip1 = sol.amrs[a1][t1]
+            trip2 = sol.amrs[a2][t2]
+            c1 = rng.randint(0, len(trip1) - 2)
+            c2 = rng.randint(0, len(trip2) - 2)
+            amrs = [list(amr) for amr in sol.amrs]
+            amrs[a1][t1] = trip1[:c1 + 1] + trip2[c2 + 1:]
+            amrs[a2][t2] = trip2[:c2 + 1] + trip1[c1 + 1:]
+            cand = normalize_solution(amrs)
+        else:
+            a, t = flat[0]
+            trip = sol.amrs[a][t]
+            if len(trip) < 4:
+                continue
+            i, j = sorted(rng.sample(range(1, len(trip) - 1), 2))
+            body = list(trip)
+            body[i:j + 1] = reversed(body[i:j + 1])
+            cand = normalize_solution([[body]])
+        built.append(cand)
+        pen = shake_cost(inst, solution_cost(inst, cand))
+        if pen < best_pen:
+            best = cand
+            best_pen = pen
+    return (best if best is not None else sol), built
 
 
 def mc_truncated_moments(mu: float, sigma: float, e: float, samples: int,

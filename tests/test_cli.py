@@ -1,10 +1,12 @@
 import json
+import re
 
 import pytest
 
 from amrsched.cli import main
 from amrsched.evaluation import evaluate_solution
 from amrsched.model import load_instance, solution_from_ids
+from helpers import battery_starved_payload
 from test_model import SOLOMON_SAMPLE
 
 
@@ -145,7 +147,18 @@ def test_solve_with_overrides(hospital12_path, capsys, tmp_path):
         50 * payload["m"] + 0.01 * payload["distance"])
 
 
-@pytest.mark.parametrize("command, solution_text", [
+def test_solve_unrepairable_battery_exit_code(tmp_path, capsys):
+    """No charging stop can save the battery: exit 2 (infeasible) with one
+    stderr line, not a traceback or exit 1."""
+    path = tmp_path / "starved.json"
+    path.write_text(json.dumps(battery_starved_payload()))
+    code = run(["solve", "--instance", path, "--iterations", 20, "--seed", 0])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == "no zero-penalty solution found; best shown is infeasible\n"
+
+
+@pytest.mark.parametrize("command, payload", [
     ("solve", None),        # --iterations 0: ValueError from solve
     ("validate", ""),       # empty file: JSONDecodeError
     ("validate", "{}"),     # no "amrs" key
@@ -155,15 +168,46 @@ def test_solve_with_overrides(hospital12_path, capsys, tmp_path):
     ("validate", '{"amrs": [{"trips": [5]}]}'),  # trip body not a list
     ("validate", '{"amrs": [{"trips": [[{}]]}]}'),  # stop not an id
     ("validate", '{"amrs": [{"trips": [[1e400]]}]}'),  # inf stop
+    # "instance": hospital12 with one field set; the error names the field
+    ("instance", "requests = 5"),
+    ("instance", "requests.0 = 5"),
+    ("instance", 'requests.0.demand = "abc"'),
+    ("instance", "requests.0.id = true"),
+    ("instance", "requests.0.floor = 1.7"),
+    ("instance", "requests.0.window = [true, 30000]"),
+    ("instance", "amr = 5"),
+    pytest.param("instance", "amr.speed = 1" + "0" * 400,
+                 id="instance-amr.speed = 10**400"),   # no float holds it
+    ("instance", "cost = 5"),
+    ("instance", 'stoch = "x"'),
+    ("instance", "depot = 5"),
+    ("instance", "charging.0 = 5"),
+    ("instance", "charging.0.floor = null"),
+    ("instance", "distance.1 = 5"),
+    ("instance", 'floor_diff.1.2 = "abc"'),
 ])
-def test_bad_input_is_one_error_line(command, solution_text, hospital12_path,
+def test_bad_input_is_one_error_line(command, payload, hospital12_path,
                                      tmp_path, capsys):
+    if command == "instance":
+        field, value = payload.split(" = ")
+        keys = [int(k) if k.isdigit() else k for k in field.split(".")]
+        data = json.loads(hospital12_path.read_text())
+        target = data
+        for key in keys[:-1]:
+            target = target[key]
+        target[keys[-1]] = json.loads(value)
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps(data))
+        err = assert_one_error_line(["solve", "--instance", path,
+                                     "--iterations", 1], capsys)
+        assert re.sub(r"\.(\d+)", r"[\1]", field) in err
+        return
     argv = [command, "--instance", hospital12_path]
     if command == "solve":
         argv += ["--iterations", 0]
     else:
         path = tmp_path / "sol.json"
-        path.write_text(solution_text)
+        path.write_text(payload)
         argv += ["--solution", path]
     assert_one_error_line(argv, capsys)
 
@@ -189,3 +233,4 @@ def assert_one_error_line(argv, capsys):
     assert code == 1
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
     assert "Traceback" not in err
+    return err

@@ -1,18 +1,20 @@
+import dataclasses
 import random
 from collections import Counter
 
 import pytest
 
 from amrsched.model import (DEPOT, Solution, StructuralError,
-                            check_solution_structure, normalize_solution,
-                            solution_from_ids)
+                            check_solution_structure, load_instance,
+                            normalize_solution, solution_from_ids)
 from amrsched.evaluation import evaluate_solution, solution_cost
 from amrsched.operators import (amr_decrease, charging_insert_repair,
                                 depot_insert_repair, relocation_star,
                                 shake_2opt_l, shake_cost, swap_star,
                                 two_opt_star)
-from amrsched.vns import greedy_initial
-from helpers import paper_optimum, random_instance, random_solution
+from amrsched.vns import feasible_operation, greedy_initial
+from helpers import (paper_optimum, random_instance, random_solution,
+                     reference_shake)
 
 
 def request_multiset(inst, sol):
@@ -325,30 +327,50 @@ def test_shake_tail_exchange_shape(hospital12):
             assert DEPOT not in trip[1:-1]
 
 
-def test_shake_picks_minimum_of_its_candidates(hospital12):
-    """Replaying the operator's rng stream must reproduce its pick as the
-    argmin of the generated candidates."""
-    inst = hospital12
-    from amrsched.vns import greedy_initial, feasible_operation
-    sol = feasible_operation(inst, greedy_initial(inst))
-    flat = [(a, t) for a, amr in enumerate(sol.amrs) for t in range(len(amr))]
-    picked = shake_2opt_l(inst, sol, random.Random(123), candidates=20)
-    replay = random.Random(123)
-    best_cost = None
-    for _ in range(20):
-        (a1, t1), (a2, t2) = (flat[k] for k in replay.sample(range(len(flat)), 2))
-        trip1, trip2 = sol.amrs[a1][t1], sol.amrs[a2][t2]
-        c1 = replay.randint(0, len(trip1) - 2)
-        c2 = replay.randint(0, len(trip2) - 2)
-        lists = [[list(t) for t in amr] for amr in sol.amrs]
-        lists[a1][t1] = list(trip1[:c1 + 1] + trip2[c2 + 1:])
-        lists[a2][t2] = list(trip2[:c2 + 1] + trip1[c1 + 1:])
-        cand = normalize_solution(lists)
-        cost = shake_cost(inst, solution_cost(inst, cand))
-        if best_cost is None or cost < best_cost:
-            best_cost = cost
-    assert shake_cost(inst, solution_cost(inst, picked)) == pytest.approx(best_cost)
+def test_shake_picks_minimum_of_its_candidates(hospital12_path, hospital64_path):
+    """shake_2opt_l returns exactly the pick of the loop that builds and
+    prices every candidate (the first-drawn minimum of shake_cost) and
+    leaves the rng where that loop leaves it, on cold caches (bound-ordered
+    pricing) and on warm ones (cache hits) alike."""
+    rng = random.Random(17)
+    cases = []
+    for case in range(60):
+        inst = random_instance(rng, rng.randint(1, 9),
+                               tight_battery=case % 2 == 1)
+        if case % 3 == 2:   # whole-number costs: ties everywhere
+            inst = dataclasses.replace(
+                inst, cost=dataclasses.replace(inst.cost, per_meter=0.0))
+        cases.append((inst, random_solution(rng, inst)))
+        if case % 6 == 0:   # a lone trip: the intra-trip reversal branch
+            inst = random_instance(rng, rng.randint(2, 6))
+            cases.append((inst, normalize_solution(
+                [[(DEPOT, *range(1, inst.n_requests + 1), DEPOT)]])))
+    for path in (hospital12_path, hospital64_path):
+        for seed in range(2):
+            inst = load_instance(path)
+            cases.append((inst, feasible_operation(
+                inst, greedy_initial(inst, random.Random(seed)))))
+            cases.append((inst, random_solution(rng, inst)))
+    seen = Counter()
+    for inst, sol in cases:
+        n_trips = sum(len(amr) for amr in sol.amrs)
+        for seed, size in ((0, 20), (1, 20), (2, 5)):
+            picked_rng, ref_rng = random.Random(seed), random.Random(seed)
+            picked = shake_2opt_l(inst, sol, picked_rng, candidates=size)
+            expected, built = reference_shake(inst, sol, ref_rng, candidates=size)
+            assert picked == expected
+            assert picked_rng.getstate() == ref_rng.getstate()
+            assert shake_2opt_l(inst, sol, random.Random(seed), size) == expected
+            seen["reversal"] += n_trips == 1 and bool(built)
+            seen["emptied trip"] += any(
+                sum(len(amr) for amr in c.amrs) < n_trips for c in built)
+            seen["emptied amr"] += any(len(c.amrs) < len(sol.amrs) for c in built)
+            seen["picked fewer amrs"] += len(picked.amrs) < len(sol.amrs)
+    assert len(seen) == 4 and all(seen.values()), seen
     # and the pick can never beat the globally best tail exchange
+    inst = load_instance(hospital12_path)
+    sol = feasible_operation(inst, greedy_initial(inst))
+    picked = shake_2opt_l(inst, sol, random.Random(123), candidates=20)
     global_best = _enumerate_all_tail_exchanges(inst, sol)
     assert shake_cost(inst, solution_cost(inst, picked)) >= global_best - 1e-9
 

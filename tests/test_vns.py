@@ -1,16 +1,17 @@
 import dataclasses
 import json
+import math
 import random
 import time
 
 import pytest
 
-from amrsched.model import DEPOT, Solution, solution_from_ids
+from amrsched.model import DEPOT, Solution, load_instance, solution_from_ids
 from amrsched.evaluation import evaluate_solution, solution_cost, solution_to_dict
 from amrsched.vns import (feasible_operation, greedy_initial, local_search,
                           shaking, solve)
 from amrsched.operators import shake_2opt_l
-from helpers import paper_optimum, random_instance
+from helpers import battery_starved_payload, paper_optimum, random_instance
 
 
 def test_greedy_single_request():
@@ -162,6 +163,20 @@ def test_solve_reports_infeasible_when_hopeless():
     sol, ev, _ = solve(inst, 30, seed=0)
     assert not ev.feasible
     assert ev.penalized > ev.objective
+
+
+@pytest.mark.parametrize("charger", [True, False])
+def test_solve_flags_unrepairable_battery(charger):
+    """A battery profile no charging stop can repair (or no charger at all)
+    is infeasibility, not a malformed plan: solve returns its
+    least-penalized plan with the battery flag raised."""
+    inst = load_instance(json.dumps(battery_starved_payload(charger)))
+    sol, ev, history = solve(inst, 20, seed=0)
+    assert not ev.feasible
+    assert not all(te.battery_ok for te in ev.per_trip)
+    assert history[-1] == math.inf
+    assert sorted(inst.request_at(n).id for n in sol.stops()
+                  if inst.is_request(n)) == list(range(1, 13))
 
 
 def test_iteration_cost_scaling():
