@@ -18,6 +18,10 @@ script prints:
   and its median is better than the parent's by more than the parent's
   interquartile range.
 
+The last stdout line is the same summary as one JSON object: every pair's
+metrics, the medians, quartiles, wins and verdicts per metric, the host's
+core count, the Python version and each checkout's commit.
+
 Standard library only.
 """
 
@@ -25,6 +29,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import platform
 import statistics
 import subprocess
 import sys
@@ -41,6 +47,15 @@ def run_bench(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
         raise SystemExit(f"{checkout}: benchmark exited {proc.returncode}: "
                          f"{proc.stderr.strip()}")
     return json.loads(lines[-1])
+
+
+def commit_of(checkout: Path) -> str | None:
+    """HEAD of a git checkout, None for a plain directory."""
+    if not (checkout / ".git").exists():
+        return None
+    proc = subprocess.run(["git", "rev-parse", "HEAD"], cwd=checkout,
+                          capture_output=True, text=True)
+    return proc.stdout.strip() if proc.returncode == 0 else None
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -77,13 +92,28 @@ def main(argv=None) -> int:
             for m in spec["end_to_end"])
         print(f"pair {i + 1} ({order[0]} first): {values}", flush=True)
 
+    summary = {
+        "workload": args.workload, "seed": args.seed, "pairs": args.pairs,
+        "seconds": seconds,
+        "nproc": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+        else os.cpu_count(),
+        "python": platform.python_version(),
+        "commits": {side: commit_of(path) for side, path in sides.items()},
+        "runs": {}, "metrics": {},
+        "per_pair": [{side: {m["name"]: runs[side][i]["metrics"][m["name"]]["value"]
+                             for m in spec["end_to_end"]} for side in sides}
+                     for i in range(args.pairs)],
+    }
     print(f"\nworkload {args.workload}, seed {args.seed}, {args.pairs} pairs, "
           f"{seconds:g} s per run")
     for side in sides:
         failed = sum(run["failed"] for run in runs[side])
         correct = sum(run["correct"] for run in runs[side])
+        attempted = sum(run["attempted"] for run in runs[side])
+        summary["runs"][side] = {"correct": correct, "failed": failed,
+                                 "attempted": attempted}
         print(f"{side}: {correct}/{args.pairs} runs correct, "
-              f"{failed} failed of {sum(run['attempted'] for run in runs[side])}")
+              f"{failed} failed of {attempted}")
     for metric in spec["end_to_end"]:
         name, sign = metric["name"], 1 if metric["better"] == "lower" else -1
         parent = [run["metrics"][name]["value"] for run in runs["parent"]]
@@ -101,6 +131,13 @@ def main(argv=None) -> int:
               f"change wins {wins}/{args.pairs}; "
               f"{'WORSE beyond' if regressed else 'within'} bound {metric['bound']:g}; "
               f"gain rule {'holds' if gain_rule else 'does not hold'}")
+        summary["metrics"][name] = {
+            "unit": metric["unit"], "better": metric["better"],
+            "parent": {"median": pm, "q1": p1, "q3": p3},
+            "change": {"median": cm, "q1": c1, "q3": c3},
+            "change_wins": wins, "bound": metric["bound"],
+            "worse_beyond_bound": regressed, "gain_rule_holds": gain_rule}
+    print(json.dumps(summary))
     return 0
 
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 from .model import (DEPOT, Gaussian, Instance, Solution, check_solution_structure,
                     format_time)
-from .stochastic import NodeTiming, _truncated_moments, violation_probability
+from .stochastic import _INV_SQRT_2PI, _SQRT2, NodeTiming, violation_probability
 
 _BATTERY_EPS = 1e-12
 _LOAD_EPS = 1e-9
@@ -66,6 +66,11 @@ def _walk_trip(inst: Instance, trip, t0: float, b0: float, load: float,
     service law and takes its demand off the load; a charging station tops a
     battery below beta up to beta in deterministic time.
 
+    The truncated start is ``stochastic.truncated_start`` written inline, with
+    the one sigma the window test also uses; every operation is kept in its
+    order, so the floats are the reference closed form's (the tests compare
+    them with ``==``).
+
     Returns (depot arrival mean, battery, distance, window violations,
     capacity broken, battery broken, violating request nodes).  With a
     ``profile`` list, one (arrival mean, arrival variance, start mean, start
@@ -86,8 +91,11 @@ def _walk_trip(inst: Instance, trip, t0: float, b0: float, load: float,
     alpha = inst.amr.battery_low
     beta = inst.amr.battery_high
     vq = inst.amr.charge_rate
-    truncate = _truncated_moments
     sqrt = math.sqrt
+    erfc = math.erfc
+    exp = math.exp
+    sqrt2 = _SQRT2
+    inv_sqrt_2pi = _INV_SQRT_2PI
 
     mean = t0
     var = 0.0
@@ -106,10 +114,27 @@ def _walk_trip(inst: Instance, trip, t0: float, b0: float, load: float,
         if bat < alpha - _BATTERY_EPS:
             bat_bad = True
         if 0 < node <= nreq:
-            if mean + z * sqrt(var) > wc[node]:
+            sigma = sqrt(var)
+            if mean + z * sigma > wc[node]:
                 twv += 1
                 viol += (node,)
-            start_mean, start_var = truncate(mean, var, wo[node])
+            e = wo[node]
+            if var <= 0.0:
+                start_mean = e if e > mean else mean
+                start_var = 0.0
+            else:
+                u = (e - mean) / sigma
+                upper = 0.5 * erfc(u / sqrt2)          # P(arrival > e)
+                pdf = inv_sqrt_2pi * exp(-0.5 * u * u)
+                c = mean - e
+                excess = c * upper + sigma * pdf
+                second = (c * c + var) * upper + c * sigma * pdf
+                start_var = second - excess * excess
+                if start_var < 0.0:
+                    start_var = 0.0
+                elif start_var > var:
+                    start_var = var
+                start_mean = e + excess
             load -= dem[node]
             if load < -_LOAD_EPS:
                 cap_bad = True
@@ -254,31 +279,28 @@ def solution_cost(inst: Instance, sol: Solution) -> CostSummary:
     hit = cache.get(sol.amrs)
     if hit is not None:
         return hit
-    result = _summarize(inst, [_amr_cost(inst, trips, caches) for trips in sol.amrs])
-    if len(cache) >= _SOL_CACHE_LIMIT:
-        cache.clear()
-    cache[sol.amrs] = result
-    return result
-
-
-def _summarize(inst, amr_costs) -> CostSummary:
-    """Aggregate per-AMR ``_amr_cost`` records, in AMR order, into a
-    CostSummary.  Every aggregate cost goes through here, so two callers that
-    sum the same records get bit-equal floats."""
+    # Price every AMR before summing: summing as each AMR is priced raised
+    # the peak RSS of an oracle-verify benchmark run from 74 to 81 MiB.
+    amr_costs = [_amr_cost(inst, trips, caches) for trips in sol.amrs]
     dist = 0.0
     twv = 0
     flags = 0
     viol = ()
+    # summed in AMR order, as operators._shake_score sums, so a shake score
+    # is the float this summary gives
     for d, tv_, cap_n, bat_n, v in amr_costs:
         dist += d
         twv += tv_
         flags += cap_n + bat_n
         viol += v
-    m = len(amr_costs)
+    m = len(sol.amrs)
     objective = _objective(inst, m, dist)
-    # positional: the shake builds one per scored candidate
-    return CostSummary(objective, objective + inst.cost.tw_penalty * (twv + flags),
-                       twv == 0 and flags == 0, m, dist, twv, flags, viol)
+    result = CostSummary(objective, objective + inst.cost.tw_penalty * (twv + flags),
+                         twv == 0 and flags == 0, m, dist, twv, flags, viol)
+    if len(cache) >= _SOL_CACHE_LIMIT:
+        cache.clear()
+    cache[sol.amrs] = result
+    return result
 
 
 def _objective(inst, m, dist) -> float:

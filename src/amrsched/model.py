@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import re
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -183,19 +184,20 @@ def _normal_quantile_cached(p: float) -> float:
 # time helpers
 
 
+_CLOCK = re.compile(r"([0-9]{1,2}):([0-9]{2})(?::([0-9]{2}))?")
+
+
 def parse_time(value) -> float:
-    """Accept seconds-of-day numbers or clock strings like '8:10' / '8:10:30'."""
+    """Accept seconds-of-day numbers or clock strings H:MM / H:MM:SS such as
+    '8:10' / '8:10:30' (hours 0-23, minutes and seconds 0-59, no sign)."""
     if isinstance(value, (int, float)) and not isinstance(value, bool):
         return float(value)
-    parts = str(value).strip().split(":")
-    if not 2 <= len(parts) <= 3 or not all(p.strip() for p in parts):
+    clock = _CLOCK.fullmatch(value.strip()) if isinstance(value, str) else None
+    if clock is None:
         raise InstanceError(f"bad time value {value!r}")
-    try:
-        nums = [float(p) for p in parts]
-    except ValueError as exc:
-        raise InstanceError(f"bad time value {value!r}") from exc
-    h, m = nums[0], nums[1]
-    s = nums[2] if len(nums) == 3 else 0.0
+    h, m, s = (int(part or 0) for part in clock.groups())
+    if h > 23 or m > 59 or s > 59:
+        raise InstanceError(f"time value {value!r} out of range")
     return h * 3600.0 + m * 60.0 + s
 
 
@@ -294,7 +296,8 @@ def _time(value, path: str) -> float:
     try:
         return parse_time(value)
     except (InstanceError, OverflowError):
-        raise InstanceError(f"{path} must be seconds or a clock time") from None
+        raise InstanceError(
+            f"{path} must be seconds or a clock time H:MM[:SS]") from None
 
 
 def _field(data, key: str, path: str, default=_MISSING) -> float:

@@ -15,7 +15,7 @@ import math
 import random
 
 from .model import DEPOT, Instance, Solution, StructuralError, normalize_solution
-from .evaluation import _amr_cost, _objective, _summarize, solution_cost
+from .evaluation import _amr_cost, _objective, solution_cost
 
 _REPAIR_ROUNDS_PER_REQUEST = 2
 
@@ -405,25 +405,49 @@ def shake_2opt_l(inst: Instance, sol: Solution, rng: random.Random,
 
 def _shake_score(inst, amr_costs):
     """shake_cost from per-AMR cost records in AMR order; () marks a
-    removed AMR."""
-    if () in amr_costs:
-        amr_costs = [cost for cost in amr_costs if cost]
-    return shake_cost(inst, _summarize(inst, amr_costs))
+    removed AMR.  The sums run as ``solution_cost`` runs them, so the float
+    is ``shake_cost(inst, solution_cost(inst, candidate))``."""
+    m = 0
+    dist = 0.0
+    violations = 0
+    for cost in amr_costs:
+        if cost:
+            m += 1
+            dist += cost[0]
+            violations += cost[1] + cost[2] + cost[3]
+    return _objective(inst, m, dist) + inst.cost.fixed_per_amr * violations
+
+
+def _two_of(below, n):
+    """Two distinct indices below n, drawn as ``random.sample(range(n), 2)``
+    draws them in CPython: a pool for n <= 21, rejection above."""
+    i = below(n)
+    if n <= 21:
+        j = below(n - 1)
+        return i, n - 1 if j == i else j
+    j = below(n)
+    while j == i:
+        j = below(n)
+    return i, j
 
 
 def _shake_candidate(sol, flat, rng):
     """Draw the next shake candidate as the AMRs it changes: a tuple of
     (AMR index, new trips), where emptied trips are dropped and an AMR left
     with no trips gets ().  None when the only trip is too short to reverse;
-    that draws nothing."""
+    that draws nothing.
+
+    The draws go through ``rng._randbelow``, the method ``sample`` and
+    ``randint`` call, and consume the stream those calls would."""
+    below = rng._randbelow
     if len(flat) >= 2:
-        i, j = rng.sample(range(len(flat)), 2)
+        i, j = _two_of(below, len(flat))
         a1, t1 = flat[i]
         a2, t2 = flat[j]
         trip1 = sol.amrs[a1][t1]
         trip2 = sol.amrs[a2][t2]
-        c1 = rng.randint(0, len(trip1) - 2)
-        c2 = rng.randint(0, len(trip2) - 2)
+        c1 = below(len(trip1) - 1)
+        c2 = below(len(trip2) - 1)
         new1 = trip1[:c1 + 1] + trip2[c2 + 1:]
         new2 = trip2[:c2 + 1] + trip1[c1 + 1:]
         if a1 != a2:
@@ -437,7 +461,9 @@ def _shake_candidate(sol, flat, rng):
     trip = sol.amrs[a][t]
     if len(trip) < 4:
         return None
-    i, j = sorted(rng.sample(range(1, len(trip) - 1), 2))
+    i, j = sorted(_two_of(below, len(trip) - 2))
+    i += 1
+    j += 1
     return ((a, (trip[:i] + trip[i:j + 1][::-1] + trip[j + 1:],)),)
 
 

@@ -1,18 +1,19 @@
-"""Normal-law helpers behind the trip recurrence in ``evaluation``.
+"""Normal-law helpers of the stochastic timing model.
 
 Arrival times are carried as normal (mean, variance) pairs.  Waiting at a
 request window turns the start time into the left-truncated variable
 Y = max(X, e); only its first two moments are propagated, re-read as a
 normal for the next leg.  The time-window test compares the
 ``normal_quantile(1 - epsilon)`` quantile of the arrival against the window
-close.
+close.  The trip recurrence in ``evaluation`` computes the truncated moments
+inline; ``truncated_start`` is the reference closed form the tests hold it to.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from math import erfc, exp, sqrt   # bare names for the per-node hot path
+from math import erfc, exp, sqrt
 
 from .model import Gaussian
 

@@ -185,6 +185,11 @@ def test_solve_unrepairable_battery_exit_code(tmp_path, capsys):
     ("instance", "charging.0.floor = null"),
     ("instance", "distance.1 = 5"),
     ("instance", 'floor_diff.1.2 = "abc"'),
+    # clock strings out of range or signed
+    ("instance", 'requests.0.window.1 = "8:70"'),
+    ("instance", 'requests.0.window.0 = "8:10:99"'),
+    ("instance", 'requests.0.window.0 = "-1:00"'),
+    ("instance", 'shift_start = "25:00"'),
 ])
 def test_bad_input_is_one_error_line(command, payload, hospital12_path,
                                      tmp_path, capsys):

@@ -345,6 +345,13 @@ def test_shake_picks_minimum_of_its_candidates(hospital12_path, hospital64_path)
             inst = random_instance(rng, rng.randint(2, 6))
             cases.append((inst, normalize_solution(
                 [[(DEPOT, *range(1, inst.n_requests + 1), DEPOT)]])))
+    # n trips, and a lone trip with n interior stops, around the n = 21 where
+    # random.sample switches from a pool to rejection for a pair below n
+    for n in (21, 22, 23):
+        inst = random_instance(rng, n)
+        cases.append((inst, random_solution(rng, inst, max_trip=1)))
+        cases.append((inst, normalize_solution(
+            [[(DEPOT, *range(1, inst.n_requests + 1), DEPOT)]])))
     for path in (hospital12_path, hospital64_path):
         for seed in range(2):
             inst = load_instance(path)
@@ -361,12 +368,15 @@ def test_shake_picks_minimum_of_its_candidates(hospital12_path, hospital64_path)
             assert picked == expected
             assert picked_rng.getstate() == ref_rng.getstate()
             assert shake_2opt_l(inst, sol, random.Random(seed), size) == expected
-            seen["reversal"] += n_trips == 1 and bool(built)
+            # the population random.sample draws two indices from
+            kind, n = (("reversal", len(sol.amrs[0][0]) - 2) if n_trips == 1
+                       else ("inter-trip", n_trips))
+            seen[f"{kind} of {'> 21' if n > 21 else '<= 21'}"] += bool(built)
             seen["emptied trip"] += any(
                 sum(len(amr) for amr in c.amrs) < n_trips for c in built)
             seen["emptied amr"] += any(len(c.amrs) < len(sol.amrs) for c in built)
             seen["picked fewer amrs"] += len(picked.amrs) < len(sol.amrs)
-    assert len(seen) == 4 and all(seen.values()), seen
+    assert len(seen) == 7 and all(seen.values()), seen
     # and the pick can never beat the globally best tail exchange
     inst = load_instance(hospital12_path)
     sol = feasible_operation(inst, greedy_initial(inst))

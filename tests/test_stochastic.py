@@ -1,14 +1,17 @@
 import dataclasses
 import math
 import random
+from collections import Counter
 
 import pytest
 
-from amrsched.evaluation import evaluate_trip
+from amrsched.evaluation import evaluate_solution, evaluate_trip
 from amrsched.model import DEPOT, Gaussian
+from amrsched.operators import charging_insert_repair
 from amrsched.stochastic import (normal_cdf, normal_quantile, truncated_start,
                                  violation_probability)
-from helpers import mc_truncated_moments, sub_instance
+from helpers import (mc_truncated_moments, random_instance, random_solution,
+                     sub_instance)
 
 
 def test_normal_quantile_matches_cdf():
@@ -87,21 +90,86 @@ def test_truncated_start_invariants_random_sweep():
 
 
 def test_propagate_adds_means_and_variances(hospital12):
-    """Along a trip, each arrival is the previous start plus its service law
-    plus the leg law, in mean and in variance."""
+    """Along a trip, each arrival is the previous departure plus the leg law,
+    in mean and in variance, and each request starts at exactly the
+    reference truncation ``truncated_start(arrival, open)``: on a grid of
+    openings around one arrival, on random plain and charging-repaired
+    tight-battery plans, with windows far before and far after the arrival,
+    and with no variance at all."""
     inst = hospital12
     trip = (DEPOT, inst.node_of_id[5], inst.node_of_id[6], DEPOT)
-    te = evaluate_trip(inst, trip, 31000.0, 0.8, inst.amr.capacity)
-    first = te.timings[1].arrival
-    assert first == Gaussian(31000.0 + inst.travel_mean[0][trip[1]],
-                             inst.travel_var[0][trip[1]])
-    for k in range(1, len(trip) - 1):
-        node, nxt = trip[k], trip[k + 1]
-        start = te.timings[k].start
-        assert te.timings[k].departure_mean == start.mean + inst.service_mean[node]
-        assert te.timings[k + 1].arrival == Gaussian(
-            start.mean + inst.service_mean[node] + inst.travel_mean[node][nxt],
-            start.variance + inst.service_var[node] + inst.travel_var[node][nxt])
+    walked = [(inst, trip, evaluate_trip(inst, trip, 31000.0, 0.8,
+                                         inst.amr.capacity))]
+    base = sub_instance(hospital12, [1])
+    first = Gaussian(base.shift_start + base.travel_mean[0][1],
+                     base.travel_var[0][1])
+    for k in range(-160, 161):    # openings up to 40 sd either side of it
+        open_ = first.mean + k / 4 * math.sqrt(first.variance)
+        req = dataclasses.replace(base.requests[0], window_open=open_,
+                                  window_close=max(open_, first.mean) + 3600.0)
+        inst = dataclasses.replace(base, requests=(req,))
+        trip = (DEPOT, 1, DEPOT)
+        walked.append((inst, trip, evaluate_trip(inst, trip, inst.shift_start,
+                                                 0.8, inst.amr.capacity)))
+    rng = random.Random(5)
+    for case in range(36):
+        inst = random_instance(rng, rng.randint(2, 9), tight_battery=case % 2 == 1)
+        if case % 3 == 1:
+            inst = _windows_far_from_arrivals(inst, rng)
+        if case % 4 == 3:
+            inst = _without_variance(inst)
+        sols = [random_solution(rng, inst)]
+        if case % 2 == 1:
+            sols.append(charging_insert_repair(inst, sols[0]))
+        for sol in sols:
+            trips = [trip for amr in sol.amrs for trip in amr]
+            walked += [(inst, trip, te) for trip, te
+                       in zip(trips, evaluate_solution(inst, sol).per_trip)]
+    seen = Counter()
+    for inst, trip, te in walked:
+        for k, node in enumerate(trip[:-1]):
+            timing, nxt = te.timings[k], trip[k + 1]
+            leaving_var = timing.start.variance
+            if inst.is_request(node):
+                open_ = inst.window_open[node]
+                assert timing.start == truncated_start(timing.arrival, open_)
+                assert timing.departure_mean == (timing.start.mean
+                                                 + inst.service_mean[node])
+                leaving_var += inst.service_var[node]
+                sd = math.sqrt(timing.arrival.variance)
+                seen["no variance"] += sd == 0.0
+                seen["open far before"] += open_ < timing.arrival.mean - 8 * sd
+                seen["open far after"] += open_ > timing.arrival.mean + 8 * sd
+                seen["open near"] += abs(open_ - timing.arrival.mean) < sd
+            assert te.timings[k + 1].arrival == Gaussian(
+                timing.departure_mean + inst.travel_mean[node][nxt],
+                leaving_var + inst.travel_var[node][nxt])
+        seen["charging stop"] += any(inst.is_charging(n) for n in trip)
+    assert len(seen) == 5 and all(seen.values()), seen
+
+
+def _windows_far_from_arrivals(inst, rng):
+    """inst with each window opening at the shift start (far before any
+    arrival), kept, or moved to late evening (far after any arrival)."""
+    requests = []
+    for req in inst.requests:
+        kind = rng.randrange(3)
+        if kind == 0:
+            req = dataclasses.replace(req, window_open=inst.shift_start)
+        elif kind == 2:
+            req = dataclasses.replace(req, window_open=75_000.0,
+                                      window_close=80_000.0)
+        requests.append(req)
+    return dataclasses.replace(inst, requests=tuple(requests))
+
+
+def _without_variance(inst):
+    """inst with deterministic travel and service times."""
+    return dataclasses.replace(
+        inst,
+        stoch=dataclasses.replace(inst.stoch, sigma0_sq=0.0, sigmaf_sq=0.0),
+        requests=tuple(dataclasses.replace(r, service=Gaussian(r.service.mean, 0.0))
+                       for r in inst.requests))
 
 
 def test_chance_satisfied_quantile_boundary(hospital12):
