@@ -4,8 +4,9 @@
     python3 scripts/capture_goldens.py --out DIR --h12-seeds 10
 
 The goldens are solution JSON plus best-objective history for hospital12
-(N=4000) and hospital64 (N=400), seeds 0-3, and full evaluation profiles of
-random solutions.  Regenerate them only with a change that declares a
+(N=4000) and hospital64 (N=400), seeds 0-3, full evaluation profiles of
+random solutions, and the serialize_instance text of hospital12 and of a
+small Solomon profile.  Regenerate them only with a change that declares a
 behaviour change; a refactor must leave every file identical.  ``--out`` and
 ``--h12-seeds`` write a wider set elsewhere, e.g. to diff two checkouts.
 """

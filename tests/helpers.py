@@ -14,7 +14,39 @@ import numpy as np
 from amrsched.model import (AmrParams, CostParams, DEPOT, Gaussian, Instance,
                             Request, Solution, StochasticParams,
                             default_shift_start, load_instance,
-                            normalize_solution, solution_from_ids)
+                            normalize_solution, serialize_instance,
+                            solution_from_ids)
+
+# The depot and first 17 customers of Solomon's R101, in its text format.
+SOLOMON_SAMPLE = """\
+R101
+
+VEHICLE
+NUMBER     CAPACITY
+  25         200
+
+CUSTOMER
+CUST NO.  XCOORD.   YCOORD.    DEMAND   READY TIME   DUE DATE   SERVICE TIME
+
+    0      35         35          0          0        230          0
+    1      41         49         10        161        171         10
+    2      35         17          7         50         60         10
+    3      55         45         13        116        126         10
+    4      55         20         19        149        159         10
+    5      15         30         26         34         44         10
+    6      25         30          3         99        109         10
+    7      20         50          5         81         91         10
+    8      10         43          9         95        105         10
+    9      55         60         16         97        107         10
+   10      30         60         16        124        134         10
+   11      20         65         12         67         77         10
+   12      50         35         19         63         73         10
+   13      30         25         23        159        169         10
+   14      15         10         20         32         42         10
+   15      30          5          8         61         71         10
+   16      10         20         19         75         85         10
+   17       5         30          2        157        167         10
+"""
 
 # The published optimum for the shipped 12-request instance.
 OPTIMAL_ROUTES = [[[1, 3, 6, 7], [9, 11, 10]], [[4, 2, 5, 8, 12]]]
@@ -217,7 +249,19 @@ def golden_cases(h12_seeds: int = 4) -> dict:
             cases[f"{name}_n{n_iter}_seed{seed}"] = partial(
                 solve_payload, name, n_iter, seed)
     cases["random_evaluations"] = random_evaluations_payload
+    cases["serialized_instances"] = serialized_instances_payload
     return cases
+
+
+def serialized_instances_payload() -> dict:
+    """serialize_instance text of hospital12 and of the small Solomon
+    profile: the bytes convert writes and the bench workers load."""
+    return {
+        "hospital12": serialize_instance(
+            load_instance(INSTANCE_DIR / "hospital12.json")),
+        "solomon_small": serialize_instance(
+            load_instance(SOLOMON_SAMPLE, format="solomon", profile="small")),
+    }
 
 
 def solve_payload(name: str, n_iter: int, seed: int) -> dict:

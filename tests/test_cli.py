@@ -6,8 +6,7 @@ import pytest
 from amrsched.cli import main
 from amrsched.evaluation import evaluate_solution
 from amrsched.model import load_instance, solution_from_ids
-from helpers import battery_starved_payload
-from test_model import SOLOMON_SAMPLE
+from helpers import SOLOMON_SAMPLE, battery_starved_payload
 
 
 def run(argv):

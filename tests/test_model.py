@@ -12,37 +12,7 @@ from amrsched.model import (InstanceError, StructuralError, instance_to_dict,
                             solution_from_ids, validate_instance)
 from amrsched.evaluation import evaluate_solution, solution_cost
 from amrsched.vns import solve
-from helpers import random_instance
-
-SOLOMON_SAMPLE = """\
-R101
-
-VEHICLE
-NUMBER     CAPACITY
-  25         200
-
-CUSTOMER
-CUST NO.  XCOORD.   YCOORD.    DEMAND   READY TIME   DUE DATE   SERVICE TIME
-
-    0      35         35          0          0        230          0
-    1      41         49         10        161        171         10
-    2      35         17          7         50         60         10
-    3      55         45         13        116        126         10
-    4      55         20         19        149        159         10
-    5      15         30         26         34         44         10
-    6      25         30          3         99        109         10
-    7      20         50          5         81         91         10
-    8      10         43          9         95        105         10
-    9      55         60         16         97        107         10
-   10      30         60         16        124        134         10
-   11      20         65         12         67         77         10
-   12      50         35         19         63         73         10
-   13      30         25         23        159        169         10
-   14      15         10         20         32         42         10
-   15      30          5          8         61         71         10
-   16      10         20         19         75         85         10
-   17       5         30          2        157        167         10
-"""
+from helpers import SOLOMON_SAMPLE, random_instance
 
 
 def test_parse_time_formats():
