@@ -16,9 +16,9 @@ from multiprocessing import Pool
 from pathlib import Path
 
 from .evaluation import evaluate_solution, route_table, solution_to_dict
-from .model import (Instance, InstanceError, StructuralError, load_instance,
-                    scale_distance, scale_variance, serialize_instance,
-                    solution_from_ids, validate_instance)
+from .model import (CostParams, Instance, StructuralError, load_instance,
+                    raise_violations, scale_distance, scale_variance,
+                    serialize_instance, solution_from_ids, validate_instance)
 from .oracle import NoFeasibleSolution, exact_solve, mc_validate
 from .vns import solve
 
@@ -35,11 +35,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_instance_opts(sp):
         sp.add_argument("--instance", required=True, help="instance JSON path")
-        sp.add_argument("--epsilon", type=float, default=None)
-        sp.add_argument("--delta", type=float, default=None)
-        sp.add_argument("--xi1", type=float, default=None)
-        sp.add_argument("--xi2", type=float, default=None)
-        sp.add_argument("--xi3", type=float, default=None)
+        for f in dataclasses.fields(CostParams):
+            sp.add_argument(f"--{f.metadata['key']}", type=float, default=None)
         sp.add_argument("--scale-distance", type=float, default=None,
                         metavar="K", help="multiply all distances by K")
         sp.add_argument("--scale-variance", type=float, default=None,
@@ -86,27 +83,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 def load_configured_instance(args) -> Instance:
     inst = load_instance(args.instance)
-    cost = inst.cost
-    updates = {}
-    if args.epsilon is not None:
-        updates["epsilon"] = args.epsilon
-    if args.delta is not None:
-        updates["shake_delta"] = args.delta
-    if args.xi1 is not None:
-        updates["fixed_per_amr"] = args.xi1
-    if args.xi2 is not None:
-        updates["per_meter"] = args.xi2
-    if args.xi3 is not None:
-        updates["tw_penalty"] = args.xi3
+    updates = {f.name: getattr(args, f.metadata["key"])
+               for f in dataclasses.fields(CostParams)
+               if getattr(args, f.metadata["key"]) is not None}
     if updates:
-        inst = dataclasses.replace(inst, cost=dataclasses.replace(cost, **updates))
+        inst = dataclasses.replace(inst, cost=dataclasses.replace(inst.cost, **updates))
     if args.scale_variance is not None:
         inst = scale_variance(inst, args.scale_variance)
     if args.scale_distance is not None:
         inst = scale_distance(inst, args.scale_distance)
-    violations = validate_instance(inst)
-    if violations:
-        raise InstanceError("invalid options: " + "; ".join(violations))
+    raise_violations("options", validate_instance(inst))
     return inst
 
 

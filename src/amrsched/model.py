@@ -6,9 +6,9 @@ Node indexing convention used across the package:
     1 .. n       request nodes, in the order requests are listed
     n+1 .. n+c   charging stations
 
-Times are seconds-of-day floats internally; instance files may use clock
-strings like "8:10" or "10:40:30".  Battery is a fraction of a full charge
-in [0, 1].
+Times are seconds-of-day floats internally, all within one day [0, 86400] s;
+instance files may use clock strings like "8:10" or "10:40:30".  Battery is a
+fraction of a full charge in [0, 1].
 """
 
 from __future__ import annotations
@@ -17,11 +17,22 @@ import json
 import math
 import numbers
 import re
-from dataclasses import asdict, dataclass, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Iterable, Sequence
 
 DEPOT = 0
+DAY = 86400.0  # seconds; every time and mean time lies within one day
+
+# Range rules: a test and the text of the message when a value fails it.
+POSITIVE = (lambda x: x > 0, "> 0")
+NON_NEGATIVE = (lambda x: x >= 0, ">= 0")
+FRACTION = (lambda x: 0 <= x <= 1, "in [0, 1]")
+TIME = (lambda x: 0 <= x <= DAY, "in [0, 86400] s")
+TIME_VAR = (lambda x: 0 <= x <= DAY * DAY, "in [0, 86400^2] s^2")
+CHARGE = (lambda x: x * DAY >= 1, ">= 1/86400 per s")  # a full charge within a day
+# the chance level 1 - epsilon must lie in (0, 1), not round to 1
+EPSILON = (lambda x: 0 < 1 - x < 1, "in (0, 1) with 1 - epsilon < 1")
 
 
 class InstanceError(ValueError):
@@ -50,32 +61,43 @@ class Request:
     floor: int
 
 
-@dataclass(frozen=True)
+def _param(key: str, rule, default=MISSING):
+    """A scalar instance parameter, declared once: the loader, validator,
+    serializer and CLI all read its JSON key, range rule and default here."""
+    return field(default=default, metadata={"key": key, "rule": rule})
+
+
+@dataclass(frozen=True, kw_only=True)
 class AmrParams:
-    capacity: float          # kg
-    speed: float             # m/s
-    consume_rate: float      # battery fraction per meter
-    charge_rate: float       # battery fraction per second
-    battery_low: float       # alpha: recharge below this
-    battery_high: float      # beta: charging stops here
-    battery_init: float
+    capacity: float = _param("capacity", POSITIVE)          # kg
+    speed: float = _param("speed", POSITIVE)                # m/s
+    consume_rate: float = _param("consume_rate", POSITIVE)  # battery per meter
+    charge_rate: float = _param("charge_rate", CHARGE)      # battery per second
+    battery_low: float = _param("alpha", FRACTION)          # recharge below this
+    battery_high: float = _param("beta", FRACTION)          # charging stops here
+    battery_init: float = _param("battery_init", FRACTION, 1.0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class CostParams:
-    fixed_per_amr: float     # xi1
-    per_meter: float         # xi2
-    tw_penalty: float        # xi3, search surrogate only
-    epsilon: float           # allowed time-window violation probability
-    shake_delta: float       # shake acceptance ratio, > 1
+    fixed_per_amr: float = _param("xi1", NON_NEGATIVE)
+    per_meter: float = _param("xi2", NON_NEGATIVE)
+    tw_penalty: float = _param("xi3", NON_NEGATIVE, 1000.0)  # search surrogate only
+    # allowed time-window violation probability
+    epsilon: float = _param("epsilon", EPSILON)
+    shake_delta: float = _param("delta", (lambda x: x > 1, "> 1"), 1.1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class StochasticParams:
-    floor_time_mean: float = 51.25   # mean elevator time between floors, s
-    stop_overhead: float = 6.0       # fixed per-leg overhead, s
-    sigma0_sq: float = 4.0           # same-floor travel variance, s^2
-    sigmaf_sq: float = 16.0          # extra variance when floors differ, s^2
+    floor_time_mean: float = _param("floor_time_mean", TIME, 51.25)  # per floor change
+    stop_overhead: float = _param("stop_overhead", TIME, 6.0)  # fixed per leg
+    sigma0_sq: float = _param("sigma0_sq", TIME_VAR, 4.0)  # same-floor travel variance
+    sigmaf_sq: float = _param("sigmaf_sq", TIME_VAR, 16.0)  # extra when floors differ
+
+
+# The parameter groups of an instance file, in file order.
+PARAM_GROUPS = {"amr": AmrParams, "cost": CostParams, "stoch": StochasticParams}
 
 
 # A trip is an immutable node sequence: (DEPOT, ..., DEPOT).
@@ -147,10 +169,10 @@ class Instance:
         self.drain = [
             [d * self.amr.consume_rate for d in drow] for drow in self.distance
         ]
-        if not 0.0 < self.cost.epsilon < 1.0:
+        if not EPSILON[0](self.cost.epsilon):
             # checked on every construction: a NaN quantile passes every
             # chance test, so no Instance may carry a bad epsilon
-            raise InstanceError("cost.epsilon must be in (0, 1)")
+            raise InstanceError(f"cost.epsilon must be {EPSILON[1]}")
         self.z_quantile = _normal_quantile_cached(1.0 - self.cost.epsilon)
         # evaluation.solution_cost memos, keyed by trip, AMR and solution
         self._caches = {"trip": {}, "amr": {}, "sol": {}}
@@ -229,10 +251,14 @@ def load_instance(source, format: str = "json", profile: str = "small") -> Insta
         inst = _instance_from_solomon(text, profile)
     else:
         raise InstanceError(f"unknown instance format {format!r}")
-    violations = validate_instance(inst)
-    if violations:
-        raise InstanceError("invalid instance: " + "; ".join(violations))
+    raise_violations("instance", validate_instance(inst))
     return inst
+
+
+def raise_violations(what: str, violations: list[str]) -> None:
+    """Raise one InstanceError listing every violation, if there are any."""
+    if violations:
+        raise InstanceError(f"invalid {what}: " + "; ".join(violations))
 
 
 def _read_source(source) -> str:
@@ -254,15 +280,12 @@ def _read_source(source) -> str:
     raise InstanceError(f"unsupported instance source {type(source).__name__}")
 
 
-_MISSING = object()
-
-
-def _get(data, key: str, path: str, default=_MISSING):
+def _get(data, key: str, path: str, default=MISSING):
     if not isinstance(data, dict):
         raise InstanceError(f"{path or 'instance'} must be an object")
     if key in data:
         return data[key]
-    if default is not _MISSING:
+    if default is not MISSING:
         return default
     raise InstanceError(f"missing field {path}.{key}" if path else f"missing field {key}")
 
@@ -300,7 +323,7 @@ def _time(value, path: str) -> float:
             f"{path} must be seconds or a clock time H:MM[:SS]") from None
 
 
-def _field(data, key: str, path: str, default=_MISSING) -> float:
+def _field(data, key: str, path: str, default=MISSING) -> float:
     return _number(_get(data, key, path, default), f"{path}.{key}")
 
 
@@ -364,31 +387,9 @@ def _instance_from_dict(data) -> Instance:
             tuple(float(abs(fi - fj)) for fj in floors) for fi in floors
         )
 
-    ad = _get(data, "amr", "")
-    amr = AmrParams(
-        capacity=_field(ad, "capacity", "amr"),
-        speed=_field(ad, "speed", "amr"),
-        consume_rate=_field(ad, "consume_rate", "amr"),
-        charge_rate=_field(ad, "charge_rate", "amr"),
-        battery_low=_field(ad, "alpha", "amr"),
-        battery_high=_field(ad, "beta", "amr"),
-        battery_init=_field(ad, "battery_init", "amr", 1.0),
-    )
-    cd = _get(data, "cost", "")
-    cost = CostParams(
-        fixed_per_amr=_field(cd, "xi1", "cost"),
-        per_meter=_field(cd, "xi2", "cost"),
-        tw_penalty=_field(cd, "xi3", "cost", 1000.0),
-        epsilon=_field(cd, "epsilon", "cost"),
-        shake_delta=_field(cd, "delta", "cost", 1.1),
-    )
-    sd = _get(data, "stoch", "", {})
-    stoch = StochasticParams(
-        floor_time_mean=_field(sd, "floor_time_mean", "stoch", 51.25),
-        stop_overhead=_field(sd, "stop_overhead", "stoch", 6.0),
-        sigma0_sq=_field(sd, "sigma0_sq", "stoch", 4.0),
-        sigmaf_sq=_field(sd, "sigmaf_sq", "stoch", 16.0),
-    )
+    amr, cost, stoch = (_params(data, group) for group in PARAM_GROUPS)
+    # amr.speed divides every travel time: check the AMR before deriving any
+    raise_violations("instance", _param_violations("amr", amr))
     if data.get("shift_start") is not None:
         shift_start = _time(data["shift_start"], "shift_start")
     else:
@@ -404,6 +405,16 @@ def _instance_from_dict(data) -> Instance:
         stoch=stoch,
         shift_start=shift_start,
     )
+
+
+def _params(data, group: str):
+    """Read one parameter group through its schema.  A group whose fields all
+    have defaults may be left out."""
+    cls = PARAM_GROUPS[group]
+    optional = all(f.default is not MISSING for f in fields(cls))
+    values = _get(data, group, "", {} if optional else MISSING)
+    return cls(**{f.name: _field(values, f.metadata["key"], group, f.default)
+                  for f in fields(cls)})
 
 
 def default_shift_start(requests, distance, floor_diff, amr, stoch) -> float:
@@ -428,52 +439,46 @@ def default_shift_start(requests, distance, floor_diff, amr, stoch) -> float:
 
 def validate_instance(inst: Instance) -> list[str]:
     """Return a list of invariant violations, one message per offence (empty = valid)."""
-    out: list[str] = []
-    numbers = [(f"{group}.{name}", value) for group in ("amr", "cost", "stoch")
-               for name, value in asdict(getattr(inst, group)).items()]
-    numbers.append(("shift_start", inst.shift_start))
+    out = [msg for group in PARAM_GROUPS
+           for msg in _param_violations(group, getattr(inst, group))]
+    if inst.amr.battery_low >= inst.amr.battery_high:
+        out.append("amr.alpha must be < amr.beta")
+    if any(t > DAY for row in inst.travel_mean for t in row):
+        out.append("mean travel times (distance / amr.speed + stoch) must be <= 86400 s")
+    out += _violation("shift_start", inst.shift_start, TIME)
     seen_ids = set()
     for i, r in enumerate(inst.requests):
         path = f"requests[{i}]"
-        numbers += [(f"{path}.{name}", value) for name, value in (
-            ("demand", r.demand), ("window", r.window_open),
-            ("window", r.window_close), ("service_mean", r.service.mean),
-            ("service_var", r.service.variance))]
+        for name, value, rule in (
+                ("demand", r.demand, POSITIVE), ("window[0]", r.window_open, TIME),
+                ("window[1]", r.window_close, TIME),
+                ("service_mean", r.service.mean, TIME),
+                ("service_var", r.service.variance, TIME_VAR)):
+            out += _violation(f"{path}.{name}", value, rule)
         if r.id in seen_ids:
             out.append(f"{path}.id duplicates id {r.id}")
         seen_ids.add(r.id)
         if not r.window_open < r.window_close:
             out.append(f"{path}.window is degenerate ({r.window_open} >= {r.window_close})")
-        if not r.demand > 0:
-            out.append(f"{path}.demand must be > 0")
-        elif r.demand > inst.amr.capacity:
+        if math.inf > r.demand > inst.amr.capacity:
             out.append(f"{path}.demand {r.demand} exceeds AMR capacity {inst.amr.capacity}")
-        if r.service.variance < 0:
-            out.append(f"{path}.service_var must be >= 0")
-        if r.service.mean < 0:
-            out.append(f"{path}.service_mean must be >= 0")
-    a = inst.amr
-    if not 0 <= a.battery_low < a.battery_high <= 1:
-        out.append("amr: requires 0 <= alpha < beta <= 1")
-    if not (a.consume_rate > 0 and a.charge_rate > 0 and a.speed > 0):
-        out.append("amr: speed and rates must be > 0")
-    if not 0 <= a.battery_init <= 1:
-        out.append("amr.battery_init must be in [0, 1]")
-    if a.capacity <= 0:
-        out.append("amr.capacity must be > 0")
-    c = inst.cost
-    if min(c.fixed_per_amr, c.per_meter, c.tw_penalty) < 0:
-        out.append("cost: xi1, xi2, xi3 must be >= 0")
-    if not c.shake_delta > 1:
-        out.append("cost.delta must be > 1")
-    s = inst.stoch
-    if s.sigma0_sq < 0 or s.sigmaf_sq < 0:
-        out.append("stoch: sigma0_sq and sigmaf_sq must be >= 0")
-    out.extend(f"{path} must be finite" for path, value in numbers
-               if not math.isfinite(value))
     out.extend(_check_matrix(inst.distance, inst.n_nodes, "distance"))
     out.extend(_check_matrix(inst.floor_diff, inst.n_nodes, "floor_diff"))
     return out
+
+
+def _param_violations(group: str, params) -> list[str]:
+    return [msg for f in fields(params)
+            for msg in _violation(f"{group}.{f.metadata['key']}",
+                                  getattr(params, f.name), f.metadata["rule"])]
+
+
+def _violation(path: str, value: float, rule) -> list[str]:
+    """The message for a value that is not finite or fails its range rule."""
+    test, text = rule
+    if not math.isfinite(value):
+        return [f"{path} must be finite"]
+    return [] if test(value) else [f"{path} must be {text}"]
 
 
 def _check_matrix(m, n, name) -> list[str]:
@@ -516,28 +521,8 @@ def instance_to_dict(inst: Instance) -> dict:
         "charging": [{"floor": f} for f in inst.charging_floors],
         "distance": [list(row) for row in inst.distance],
         "floor_diff": [list(row) for row in inst.floor_diff],
-        "amr": {
-            "capacity": inst.amr.capacity,
-            "speed": inst.amr.speed,
-            "consume_rate": inst.amr.consume_rate,
-            "charge_rate": inst.amr.charge_rate,
-            "alpha": inst.amr.battery_low,
-            "beta": inst.amr.battery_high,
-            "battery_init": inst.amr.battery_init,
-        },
-        "cost": {
-            "xi1": inst.cost.fixed_per_amr,
-            "xi2": inst.cost.per_meter,
-            "xi3": inst.cost.tw_penalty,
-            "epsilon": inst.cost.epsilon,
-            "delta": inst.cost.shake_delta,
-        },
-        "stoch": {
-            "floor_time_mean": inst.stoch.floor_time_mean,
-            "stop_overhead": inst.stoch.stop_overhead,
-            "sigma0_sq": inst.stoch.sigma0_sq,
-            "sigmaf_sq": inst.stoch.sigmaf_sq,
-        },
+        **{group: {f.metadata["key"]: getattr(getattr(inst, group), f.name)
+                   for f in fields(cls)} for group, cls in PARAM_GROUPS.items()},
         "shift_start": inst.shift_start,
     }
 
@@ -712,8 +697,7 @@ def _instance_from_solomon(text: str, profile: str) -> Instance:
         battery_high=0.8,
         battery_init=0.8,
     )
-    cost = CostParams(fixed_per_amr=30.0, per_meter=0.01, tw_penalty=1000.0,
-                      epsilon=0.05, shake_delta=1.1)
+    cost = CostParams(fixed_per_amr=30.0, per_meter=0.01, epsilon=0.05)
     stoch = StochasticParams()
     return Instance(
         requests=tuple(requests),

@@ -1,11 +1,14 @@
 import json
+import math
 import re
+from dataclasses import fields
 
 import pytest
 
 from amrsched.cli import main
 from amrsched.evaluation import evaluate_solution
-from amrsched.model import load_instance, solution_from_ids
+from amrsched.model import (PARAM_GROUPS, InstanceError, load_instance,
+                            solution_from_ids)
 from helpers import SOLOMON_SAMPLE, battery_starved_payload
 
 
@@ -189,6 +192,13 @@ def test_solve_unrepairable_battery_exit_code(tmp_path, capsys):
     ("instance", 'requests.0.window.0 = "8:10:99"'),
     ("instance", 'requests.0.window.0 = "-1:00"'),
     ("instance", 'shift_start = "25:00"'),
+    # finite but beyond one day: no overflow in the route table
+    ("instance", "amr.speed = 1e-320"),
+    ("instance", "stoch.sigma0_sq = 1e308"),
+    ("instance", "stoch.stop_overhead = 1e308"),
+    ("instance", "shift_start = 1e308"),
+    ("instance", "shift_start = -1e308"),
+    ("instance", "requests.0.window.0 = -1e308"),
 ])
 def test_bad_input_is_one_error_line(command, payload, hospital12_path,
                                      tmp_path, capsys):
@@ -214,6 +224,50 @@ def test_bad_input_is_one_error_line(command, payload, hospital12_path,
         path.write_text(payload)
         argv += ["--solution", path]
     assert_one_error_line(argv, capsys)
+
+
+MUTATIONS = (("drop", None), ("string", "x"), ("bool", True), ("null", None),
+             ("list", []), ("nan", math.nan), ("inf", math.inf), ("zero", 0),
+             ("negative", -1e6), ("huge", 1e300), ("tiny", 1e-320))
+
+
+def test_schema_mutations_load_or_fail_cleanly(hospital12_path, tmp_path,
+                                               capsys):
+    """Each parameter of the schema, each request field, shift_start, the
+    floors and one cell of each matrix, dropped, retyped or set to an extreme
+    value: the load gives an InstanceError or a valid instance, and solving
+    a valid one exits 0, 1 or 2 with no traceback."""
+    text = hospital12_path.read_text()
+    paths = [(group, f.metadata["key"])
+             for group, cls in PARAM_GROUPS.items() for f in fields(cls)]
+    paths += [("requests", 0, key) for key in json.loads(text)["requests"][0]]
+    paths += [("requests", 0, "window", 0), ("requests", 0, "window", 1),
+              ("shift_start",), ("depot", "floor"), ("charging", 0, "floor"),
+              ("distance", 0, 1), ("floor_diff", 0, 1)]
+    path = tmp_path / "inst.json"
+    loaded = 0
+    for keys in paths:
+        for name, value in MUTATIONS:
+            data = json.loads(text)
+            target = data
+            for key in keys[:-1]:
+                target = target[key]
+            if name != "drop":
+                target[keys[-1]] = value
+            elif isinstance(target, list) or keys[-1] in target:
+                del target[keys[-1]]
+            payload = json.dumps(data)
+            try:
+                load_instance(payload)
+            except InstanceError:
+                continue
+            loaded += 1
+            path.write_text(payload)
+            code = run(["solve", "--instance", path, "--iterations", 1])
+            err = capsys.readouterr().err
+            assert code in (0, 1, 2), (keys, name)
+            assert "Traceback" not in err, (keys, name)
+    assert loaded  # some mutations (huge costs, a dropped default) load
 
 
 @pytest.mark.parametrize("option, value", [

@@ -84,11 +84,40 @@ def test_validate_flags_asymmetry(hospital12):
     ([("requests", 3, "service_var")], math.inf,
      r"requests\[3\]\.service_var must be finite"),
     ([("cost", "epsilon")], math.nan, r"cost\.epsilon must be in \(0, 1\)"),
+    ([("amr", "alpha")], math.inf, r"amr\.alpha must be finite"),
+    ([("cost", "xi1")], math.nan, r"cost\.xi1 must be finite"),
 ])
 def test_validate_rejects_non_finite(hospital12, keys, value, message):
     data = instance_to_dict(hospital12)
     for *parents, last in keys:
         reduce(getitem, parents, data)[last] = value
+    with pytest.raises(InstanceError, match=message):
+        load_instance(json.dumps(data))
+
+
+@pytest.mark.parametrize("keys, value, message", [
+    (("requests", 0, "window"), [-3600, 200000],
+     r"requests\[0\]\.window\[0\] must be in \[0, 86400\] s; "
+     r"requests\[0\]\.window\[1\] must be in \[0, 86400\] s"),
+    (("shift_start",), -50000, r"shift_start must be in \[0, 86400\] s"),
+    (("requests", 2, "service_mean"), 90000,
+     r"requests\[2\]\.service_mean must be in \[0, 86400\] s"),
+    (("requests", 2, "service_var"), 86400.0 ** 2 * 2,
+     r"requests\[2\]\.service_var must be in \[0, 86400\^2\] s\^2"),
+    (("stoch", "stop_overhead"), -500, r"stoch\.stop_overhead must be in \[0, 86400\] s"),
+    (("stoch", "floor_time_mean"), -500,
+     r"stoch\.floor_time_mean must be in \[0, 86400\] s"),
+    (("stoch", "sigmaf_sq"), -1, r"stoch\.sigmaf_sq must be in \[0, 86400\^2\] s\^2"),
+    (("cost", "xi3"), -1, r"cost\.xi3 must be >= 0"),
+    (("amr", "beta"), 0.0, r"amr\.alpha must be < amr\.beta"),
+    (("amr", "charge_rate"), 1e-320, r"amr\.charge_rate must be >= 1/86400 per s"),
+    (("amr", "speed"), 1e-3, r"mean travel times \(distance / amr\.speed \+ stoch\) must be <= 86400 s"),
+])
+def test_validate_rejects_out_of_range(hospital12, keys, value, message):
+    """Every time lies within one day, and a message names the file's key."""
+    data = instance_to_dict(hospital12)
+    *parents, last = keys
+    reduce(getitem, parents, data)[last] = value
     with pytest.raises(InstanceError, match=message):
         load_instance(json.dumps(data))
 
