@@ -7,8 +7,8 @@ the load from node to node, and can record the per-node profile as it goes:
 * ``evaluate_trip`` / ``evaluate_solution`` record it and return full
   ``TripEvaluation`` profiles (reports, tests, the solver's final answer).
 * ``solution_cost`` is the memoized aggregate the search loop runs millions
-  of times; it walks without recording and caches per trip, per AMR and per
-  solution.
+  of times; it walks without recording and caches per AMR trip prefix and
+  per solution.
 
 Trips of one AMR chain at the depot: the next trip starts at the mean of the
 previous depot-arrival distribution with the variance reset (the reload is
@@ -226,44 +226,58 @@ CostSummary = namedtuple(
     "objective penalized feasible m distance tw_violations flag_failures violating",
 )
 
-_TRIP_CACHE_LIMIT = 1 << 18
 _AMR_CACHE_LIMIT = 1 << 17
 _SOL_CACHE_LIMIT = 1 << 16
 
 
 def _amr_cost(inst, trips, caches):
+    """Cost record of one AMR's chained trips: (distance, window violations,
+    capacity flags, battery flags, violating nodes, depot arrival mean,
+    battery).  The memo holds one record per trip prefix; a walk resumes
+    from the longest cached prefix and stores every prefix it completes.
+    """
     cache = caches["amr"]
     hit = cache.get(trips)
     if hit is not None:
         return hit
-    trip_cache = caches["trip"]
-    capacity = inst.amr.capacity
-    t = inst.shift_start
-    bat = inst.amr.battery_init
+    k = len(trips) - 1
+    while k and (hit := cache.get(trips[:k])) is None:
+        k -= 1
+    if not k:
+        hit = (0.0, 0, 0, 0, (), inst.shift_start, inst.amr.battery_init)
+    for k in range(k, len(trips)):
+        dist, twv, cap_n, bat_n, viol, t, bat = hit
+        t, bat, d, tv_, cap_bad, bat_bad, v = _walk_trip(
+            inst, trips[k], t, bat, inst.amr.capacity)
+        hit = (dist + d, twv + tv_, cap_n + cap_bad, bat_n + bat_bad, viol + v,
+               t, bat)
+        if len(cache) >= _AMR_CACHE_LIMIT:
+            cache.clear()
+        cache[trips[:k + 1]] = hit
+    return hit
+
+
+def _fold(inst, amr_costs) -> CostSummary:
+    """Sum per-AMR cost records in AMR order; () marks a removed AMR.
+
+    ``solution_cost`` and the shake's candidate scoring both sum here, so a
+    shake score is the float the candidate's summary gives.
+    """
+    m = 0
     dist = 0.0
     twv = 0
-    cap_n = 0
-    bat_n = 0
+    flags = 0
     viol = ()
-    for trip in trips:
-        key = (trip, t, bat)
-        walked = trip_cache.get(key)
-        if walked is None:
-            walked = _walk_trip(inst, trip, t, bat, capacity)
-            if len(trip_cache) >= _TRIP_CACHE_LIMIT:
-                trip_cache.clear()
-            trip_cache[key] = walked
-        t, bat, d, tv_, cap_bad, bat_bad, v = walked
-        dist += d
-        twv += tv_
-        cap_n += cap_bad
-        bat_n += bat_bad
-        viol += v
-    result = (dist, twv, cap_n, bat_n, viol)
-    if len(cache) >= _AMR_CACHE_LIMIT:
-        cache.clear()
-    cache[trips] = result
-    return result
+    for cost in amr_costs:
+        if cost:
+            m += 1
+            dist += cost[0]
+            twv += cost[1]
+            flags += cost[2] + cost[3]
+            viol += cost[4]
+    objective = _objective(inst, m, dist)
+    return CostSummary(objective, objective + inst.cost.tw_penalty * (twv + flags),
+                       twv == 0 and flags == 0, m, dist, twv, flags, viol)
 
 
 def solution_cost(inst: Instance, sol: Solution) -> CostSummary:
@@ -281,22 +295,7 @@ def solution_cost(inst: Instance, sol: Solution) -> CostSummary:
         return hit
     # Price every AMR before summing: summing as each AMR is priced raised
     # the peak RSS of an oracle-verify benchmark run from 74 to 81 MiB.
-    amr_costs = [_amr_cost(inst, trips, caches) for trips in sol.amrs]
-    dist = 0.0
-    twv = 0
-    flags = 0
-    viol = ()
-    # summed in AMR order, as operators._shake_score sums, so a shake score
-    # is the float this summary gives
-    for d, tv_, cap_n, bat_n, v in amr_costs:
-        dist += d
-        twv += tv_
-        flags += cap_n + bat_n
-        viol += v
-    m = len(sol.amrs)
-    objective = _objective(inst, m, dist)
-    result = CostSummary(objective, objective + inst.cost.tw_penalty * (twv + flags),
-                         twv == 0 and flags == 0, m, dist, twv, flags, viol)
+    result = _fold(inst, [_amr_cost(inst, trips, caches) for trips in sol.amrs])
     if len(cache) >= _SOL_CACHE_LIMIT:
         cache.clear()
     cache[sol.amrs] = result

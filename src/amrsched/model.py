@@ -174,8 +174,8 @@ class Instance:
             # chance test, so no Instance may carry a bad epsilon
             raise InstanceError(f"cost.epsilon must be {EPSILON[1]}")
         self.z_quantile = _normal_quantile_cached(1.0 - self.cost.epsilon)
-        # evaluation.solution_cost memos, keyed by trip, AMR and solution
-        self._caches = {"trip": {}, "amr": {}, "sol": {}}
+        # evaluation.solution_cost memos, keyed by AMR trip prefix and solution
+        self._caches = {"amr": {}, "sol": {}}
 
     def is_request(self, node: int) -> bool:
         return 1 <= node <= self.n_requests

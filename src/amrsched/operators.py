@@ -15,7 +15,7 @@ import math
 import random
 
 from .model import DEPOT, Instance, Solution, StructuralError, normalize_solution
-from .evaluation import _amr_cost, _objective, solution_cost
+from .evaluation import _amr_cost, _fold, _objective, solution_cost
 
 _REPAIR_ROUNDS_PER_REQUEST = 2
 
@@ -382,7 +382,7 @@ def shake_2opt_l(inst: Instance, sol: Solution, rng: random.Random,
         if None in amr_costs:
             bounded.append((_objective_bound(inst, base, change), k, change))
             continue
-        key = (_shake_score(inst, amr_costs), k)
+        key = (shake_cost(inst, _fold(inst, amr_costs)), k)
         if key < best:
             best, winner = key, change
     bounded.sort()
@@ -392,7 +392,7 @@ def shake_2opt_l(inst: Instance, sol: Solution, rng: random.Random,
         amr_costs = base.copy()
         for a, trips in change:
             amr_costs[a] = _amr_cost(inst, trips, caches) if trips else ()
-        key = (_shake_score(inst, amr_costs), k)
+        key = (shake_cost(inst, _fold(inst, amr_costs)), k)
         if key < best:
             best, winner = key, change
     if winner is None:
@@ -401,21 +401,6 @@ def shake_2opt_l(inst: Instance, sol: Solution, rng: random.Random,
     for a, trips in winner:
         amrs[a] = trips
     return normalize_solution(amrs)
-
-
-def _shake_score(inst, amr_costs):
-    """shake_cost from per-AMR cost records in AMR order; () marks a
-    removed AMR.  The sums run as ``solution_cost`` runs them, so the float
-    is ``shake_cost(inst, solution_cost(inst, candidate))``."""
-    m = 0
-    dist = 0.0
-    violations = 0
-    for cost in amr_costs:
-        if cost:
-            m += 1
-            dist += cost[0]
-            violations += cost[1] + cost[2] + cost[3]
-    return _objective(inst, m, dist) + inst.cost.fixed_per_amr * violations
 
 
 def _two_of(below, n):

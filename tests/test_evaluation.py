@@ -126,15 +126,15 @@ def test_fast_path_agrees_with_reference():
                 (not t.capacity_ok) + (not t.battery_ok) for t in ev.per_trip)
             assert cs.violating == tuple(inst.node_of_id[r]
                                          for r in ev.violating_requests)
-            # the memoised walks chain battery and depot time like the profiles
-            last = -1
+            # every memoised trip prefix ends where the profile of its last
+            # trip ends: depot arrival and battery chain alike
+            ends = iter(ev.per_trip)
             for trips in sol.amrs:
-                t, battery = inst.shift_start, inst.amr.battery_init
-                for trip in trips:
-                    t, battery = inst._caches["trip"][(trip, t, battery)][:2]
-                last += len(trips)
-                assert battery == ev.per_trip[last].battery_after[-1]
-                assert t == ev.per_trip[last].timings[-1].arrival.mean
+                for k in range(1, len(trips) + 1):
+                    *_, t, battery = inst._caches["amr"][trips[:k]]
+                    end = next(ends)
+                    assert battery == end.battery_after[-1]
+                    assert t == end.timings[-1].arrival.mean
 
 
 def test_charging_rule_shared_by_profile_and_summary(hospital12):
@@ -149,7 +149,7 @@ def test_charging_rule_shared_by_profile_and_summary(hospital12):
         base.amr, battery_init=beta - 5e-13))
     profile = evaluate_solution(inst, sol).per_trip[0].timings[-1].arrival.mean
     solution_cost(inst, sol)
-    (summary, *_), = inst._caches["trip"].values()
+    (*_, summary, _battery), = inst._caches["amr"].values()
     assert profile == summary == full
 
 

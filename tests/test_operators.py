@@ -7,6 +7,7 @@ import pytest
 from amrsched.model import (DEPOT, Solution, StructuralError,
                             check_solution_structure, load_instance,
                             normalize_solution, solution_from_ids)
+from amrsched import evaluation
 from amrsched.evaluation import evaluate_solution, solution_cost
 from amrsched.operators import (amr_decrease, charging_insert_repair,
                                 depot_insert_repair, relocation_star,
@@ -383,6 +384,34 @@ def test_shake_picks_minimum_of_its_candidates(hospital12_path, hospital64_path)
     picked = shake_2opt_l(inst, sol, random.Random(123), candidates=20)
     global_best = _enumerate_all_tail_exchanges(inst, sol)
     assert shake_cost(inst, solution_cost(inst, picked)) >= global_best - 1e-9
+
+
+def test_memos_capped_at_three_change_no_cost_and_no_shake(monkeypatch):
+    """With each memo capped at three records the caches clear on nearly
+    every store, also between the prefixes of one AMR's walk; no cost
+    summary and no shake pick may change."""
+    rng = random.Random(31)
+    cases = []
+    for case in range(20):
+        inst = random_instance(rng, rng.randint(4, 9),
+                               tight_battery=case % 2 == 1)
+        sols = [random_solution(rng, inst, max_trip=2) for _ in range(3)]
+        cases.append((inst, sols, [solution_cost(inst, s) for s in sols]))
+    monkeypatch.setattr(evaluation, "_AMR_CACHE_LIMIT", 3)
+    monkeypatch.setattr(evaluation, "_SOL_CACHE_LIMIT", 3)
+    longest = 0
+    for inst, sols, expected in cases:
+        inst = dataclasses.replace(inst)    # the same instance, empty memos
+        for sol, summary in zip(sols, expected):
+            longest = max(longest, *map(len, sol.amrs))
+            for seed in range(3):
+                picked = shake_2opt_l(inst, sol, random.Random(seed))
+                ref, _ = reference_shake(inst, sol, random.Random(seed))
+                assert picked == ref
+                assert solution_cost(inst, picked) == solution_cost(
+                    dataclasses.replace(inst), picked)
+            assert solution_cost(inst, sol) == summary
+    assert longest > 3      # some walk stores more prefixes than the cap
 
 
 def _enumerate_all_tail_exchanges(inst, sol):
