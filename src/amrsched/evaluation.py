@@ -10,9 +10,9 @@ the load from node to node, and can record the per-node profile as it goes:
   of times; it walks without recording and caches per AMR trip prefix and
   per solution.
 
-Trips of one AMR chain at the depot: the next trip starts at the mean of the
-previous depot-arrival distribution with the variance reset (the reload is
-instantaneous and deterministic), and the battery carries over unchanged.
+Trips of one AMR chain at the depot: the next trip starts from the previous
+depot-arrival distribution, mean and variance (the reload is instantaneous
+and deterministic), and the battery carries over unchanged.
 """
 
 from __future__ import annotations
@@ -56,8 +56,8 @@ class SolutionEvaluation:
         return tuple(r for te in self.per_trip for r in te.violating_requests)
 
 
-def _walk_trip(inst: Instance, trip, t0: float, b0: float, load: float,
-               profile: list | None = None):
+def _walk_trip(inst: Instance, trip, t0: float, v0: float, b0: float,
+               load: float, profile: list | None = None):
     """The trip recurrence every evaluator runs.
 
     Each leg adds its travel mean and variance to the arrival and drains the
@@ -71,8 +71,10 @@ def _walk_trip(inst: Instance, trip, t0: float, b0: float, load: float,
     order, so the floats are the reference closed form's (the tests compare
     them with ``==``).
 
-    Returns (depot arrival mean, battery, distance, window violations,
-    capacity broken, battery broken, violating request nodes).  With a
+    The walk starts at an arrival law of mean ``t0`` and variance ``v0``.
+    Returns (depot arrival mean, depot arrival variance, battery, distance,
+    window violations, capacity broken, battery broken, violating request
+    nodes).  With a
     ``profile`` list, one (arrival mean, arrival variance, start mean, start
     variance, departure mean, load, battery) tuple per node after the first
     is appended to it.
@@ -98,7 +100,7 @@ def _walk_trip(inst: Instance, trip, t0: float, b0: float, load: float,
     inv_sqrt_2pi = _INV_SQRT_2PI
 
     mean = t0
-    var = 0.0
+    var = v0
     bat = b0
     dist = 0.0
     twv = 0
@@ -151,22 +153,23 @@ def _walk_trip(inst: Instance, trip, t0: float, b0: float, load: float,
             if profile is not None:
                 profile.append((arrival, var, arrival, var, mean, load, bat))
         prev = node
-    return mean, bat, dist, twv, cap_bad, bat_bad, viol
+    return mean, var, bat, dist, twv, cap_bad, bat_bad, viol
 
 
 def evaluate_trip(inst: Instance, trip, start_time: float, start_battery: float,
-                  start_load: float) -> TripEvaluation:
+                  start_load: float, start_var: float = 0.0) -> TripEvaluation:
     """Walk one depot-to-depot node sequence and return its per-node profile.
 
     Arrival at each node adds the travel law for the leg; request nodes wait
     for their window (truncated start), consume service time and demand;
     charging nodes top the battery up to beta in deterministic time.
-    Infeasibility is reported in the flags, never raised.
+    Infeasibility is reported in the flags, never raised.  The trip leaves
+    the depot at a time of mean ``start_time`` and variance ``start_var``.
     """
-    profile = [(start_time, 0.0, start_time, 0.0, start_time, start_load,
-                start_battery)]
-    _, _, distance, tw_violations, cap_bad, bat_bad, violating = _walk_trip(
-        inst, trip, start_time, start_battery, start_load, profile)
+    profile = [(start_time, start_var, start_time, start_var, start_time,
+                start_load, start_battery)]
+    *_, distance, tw_violations, cap_bad, bat_bad, violating = _walk_trip(
+        inst, trip, start_time, start_var, start_battery, start_load, profile)
     return TripEvaluation(
         timings=tuple(NodeTiming(Gaussian(am, av), Gaussian(sm, sv), dep)
                       for am, av, sm, sv, dep, _, _ in profile),
@@ -194,14 +197,15 @@ def evaluate_solution(inst: Instance, sol: Solution) -> SolutionEvaluation:
     flag_failures = 0
     for amr_trips in sol.amrs:
         t = inst.shift_start
+        var = 0.0
         battery = inst.amr.battery_init
         for trip in amr_trips:
-            te = evaluate_trip(inst, trip, t, battery, inst.amr.capacity)
+            te = evaluate_trip(inst, trip, t, battery, inst.amr.capacity, var)
             per_trip.append(te)
             total_distance += te.distance
             tw_violations += te.tw_violations
             flag_failures += (not te.capacity_ok) + (not te.battery_ok)
-            t = te.timings[-1].arrival.mean
+            t, var = te.timings[-1].arrival.mean, te.timings[-1].arrival.variance
             battery = te.battery_after[-1]
     m = len(sol.amrs)
     objective = _objective(inst, m, total_distance)
@@ -233,7 +237,7 @@ _SOL_CACHE_LIMIT = 1 << 16
 def _amr_cost(inst, trips, caches):
     """Cost record of one AMR's chained trips: (distance, window violations,
     capacity flags, battery flags, violating nodes, depot arrival mean,
-    battery).  The memo holds one record per trip prefix; a walk resumes
+    depot arrival variance, battery).  The memo holds one record per trip prefix; a walk resumes
     from the longest cached prefix and stores every prefix it completes.
     """
     cache = caches["amr"]
@@ -244,13 +248,13 @@ def _amr_cost(inst, trips, caches):
     while k and (hit := cache.get(trips[:k])) is None:
         k -= 1
     if not k:
-        hit = (0.0, 0, 0, 0, (), inst.shift_start, inst.amr.battery_init)
+        hit = (0.0, 0, 0, 0, (), inst.shift_start, 0.0, inst.amr.battery_init)
     for k in range(k, len(trips)):
-        dist, twv, cap_n, bat_n, viol, t, bat = hit
-        t, bat, d, tv_, cap_bad, bat_bad, v = _walk_trip(
-            inst, trips[k], t, bat, inst.amr.capacity)
+        dist, twv, cap_n, bat_n, viol, t, var, bat = hit
+        t, var, bat, d, tv_, cap_bad, bat_bad, v = _walk_trip(
+            inst, trips[k], t, var, bat, inst.amr.capacity)
         hit = (dist + d, twv + tv_, cap_n + cap_bad, bat_n + bat_bad, viol + v,
-               t, bat)
+               t, var, bat)
         if len(cache) >= _AMR_CACHE_LIMIT:
             cache.clear()
         cache[trips[:k + 1]] = hit

@@ -45,8 +45,8 @@ def greedy_initial(inst: Instance, rng: random.Random | None = None) -> Solution
     body: list[int] = []
 
     def trip_ok(nodes):
-        _, _, _, twv, cap_bad, bat_bad, _ = _walk_trip(
-            inst, (DEPOT, *nodes, DEPOT), inst.shift_start,
+        *_, twv, cap_bad, bat_bad, _ = _walk_trip(
+            inst, (DEPOT, *nodes, DEPOT), inst.shift_start, 0.0,
             inst.amr.battery_init, inst.amr.capacity)
         return twv == 0 and not cap_bad, bat_bad
 

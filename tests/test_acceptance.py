@@ -272,3 +272,21 @@ def test_criterion_10_determinism(hospital12):
         blobs.append(json.dumps(solution_to_dict(hospital12, sol, ev),
                                 indent=2, sort_keys=True).encode())
     assert blobs[0] == blobs[1]
+
+
+@criterion(11, "chained-trip calibration: MC violation within eps + 3se + 0.02 on "
+               "the hospital64 best plans of seeds 0-7 (N=400)")
+def test_criterion_11_chained_trip_calibration(hospital64):
+    """Later trips start from the depot-arrival law of the trip before, so
+    the chance constraints of multi-trip plans hold when replayed."""
+    samples = 200_000
+    eps = hospital64.cost.epsilon
+    bound = eps + 3 * math.sqrt(eps * (1 - eps) / samples) + 0.02
+    for seed in range(8):
+        sol, ev, _ = solve(hospital64, 400, seed=seed)
+        assert ev.feasible, f"seed {seed}: best plan infeasible"
+        assert any(len(amr) > 1 for amr in sol.amrs), f"seed {seed}: no reload"
+        report = mc_validate(hospital64, sol, samples, seed=0)
+        for stat in report.per_request:
+            assert stat.violation_frequency <= bound, \
+                f"seed {seed} request {stat.id}: {stat.violation_frequency} > {bound}"

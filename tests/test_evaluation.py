@@ -88,10 +88,10 @@ def test_battery_conservation_across_trips(hospital12):
     # AMR 1 runs two trips; battery chains through the depot reload
     first, second = ev.per_trip[0], ev.per_trip[1]
     assert second.battery_after[0] == pytest.approx(first.battery_after[-1])
-    # timing chains on the mean of the depot arrival
-    assert second.timings[0].arrival.mean == pytest.approx(
-        first.timings[-1].arrival.mean)
-    assert second.timings[0].arrival.variance == 0.0
+    # timing chains on the depot arrival law, mean and variance
+    assert second.timings[0].arrival.mean == first.timings[-1].arrival.mean
+    assert second.timings[0].arrival.variance == first.timings[-1].arrival.variance
+    assert second.timings[0].arrival.variance > 0.0
 
 
 def test_structural_errors_are_not_infeasibility(hospital12):
@@ -127,14 +127,15 @@ def test_fast_path_agrees_with_reference():
             assert cs.violating == tuple(inst.node_of_id[r]
                                          for r in ev.violating_requests)
             # every memoised trip prefix ends where the profile of its last
-            # trip ends: depot arrival and battery chain alike
+            # trip ends: depot arrival law and battery chain alike
             ends = iter(ev.per_trip)
             for trips in sol.amrs:
                 for k in range(1, len(trips) + 1):
-                    *_, t, battery = inst._caches["amr"][trips[:k]]
+                    *_, t, var, battery = inst._caches["amr"][trips[:k]]
                     end = next(ends)
                     assert battery == end.battery_after[-1]
-                    assert t == end.timings[-1].arrival.mean
+                    assert (t, var) == (end.timings[-1].arrival.mean,
+                                        end.timings[-1].arrival.variance)
 
 
 def test_charging_rule_shared_by_profile_and_summary(hospital12):
@@ -149,7 +150,7 @@ def test_charging_rule_shared_by_profile_and_summary(hospital12):
         base.amr, battery_init=beta - 5e-13))
     profile = evaluate_solution(inst, sol).per_trip[0].timings[-1].arrival.mean
     solution_cost(inst, sol)
-    (*_, summary, _battery), = inst._caches["amr"].values()
+    (*_, summary, _var, _battery), = inst._caches["amr"].values()
     assert profile == summary == full
 
 
