@@ -670,46 +670,24 @@ def _instance_from_solomon(text: str, profile: str) -> Instance:
     if not customers:
         raise InstanceError("Solomon file has no customers")
 
-    requests = []
-    for i, row in enumerate(customers):
-        _, x, y, demand, ready, due, service = row
-        requests.append(
-            Request(
-                id=i + 1,
-                demand=demand,
-                window_open=ready,
-                window_close=due,
-                service=Gaussian(service, 36.0),
-                floor=math.ceil((i + 1) / 5),
-            )
-        )
-    coords = [(depot[1], depot[2])] + [(row[1], row[2]) for row in customers]
-    coords.append((depot[1], depot[2]))  # charging bay shares the depot location
-    distance = tuple(tuple(math.dist(a, b) for b in coords) for a in coords)
-    floors = [0] + [r.floor for r in requests] + [0]
-    floor_diff = tuple(tuple(float(abs(fi - fj)) for fj in floors) for fi in floors)
-    amr = AmrParams(
-        capacity=capacity,
-        speed=1.0,
-        consume_rate=1.0 / 21600.0,
-        charge_rate=1.0 / 16200.0,
-        battery_low=0.0,
-        battery_high=0.8,
-        battery_init=0.8,
-    )
-    cost = CostParams(fixed_per_amr=30.0, per_meter=0.01, epsilon=0.05)
-    stoch = StochasticParams()
-    return Instance(
-        requests=tuple(requests),
-        depot_floor=0,
-        charging_floors=(0,),
-        distance=distance,
-        floor_diff=floor_diff,
-        amr=amr,
-        cost=cost,
-        stoch=stoch,
-        shift_start=default_shift_start(requests, distance, floor_diff, amr, stoch),
-    )
+    requests = [
+        {"id": i + 1, "demand": demand, "window": [ready, due],
+         "service_mean": service, "service_var": 36.0,
+         "floor": math.ceil((i + 1) / 5)}
+        for i, (_, _, _, demand, ready, due, service) in enumerate(customers)
+    ]
+    coords = [depot[1:3]] + [row[1:3] for row in customers]
+    coords.append(depot[1:3])  # charging bay shares the depot location
+    return _instance_from_dict({
+        "requests": requests,
+        "depot": {"floor": 0},
+        "charging": [{"floor": 0}],
+        "coordinates": coords,
+        "amr": {"capacity": capacity, "speed": 1.0, "consume_rate": 1.0 / 21600.0,
+                "charge_rate": 1.0 / 16200.0, "alpha": 0.0, "beta": 0.8,
+                "battery_init": 0.8},
+        "cost": {"xi1": 30.0, "xi2": 0.01, "epsilon": 0.05},
+    })
 
 
 def _is_num(tok: str) -> bool:
