@@ -180,8 +180,9 @@ def cmd_bench(args) -> int:
     seeds = list(range(args.seed, args.seed + args.repeats))
     tasks = [(instance_json, n, s, args.shake_candidates)
              for n in n_values for s in seeds]
-    if args.jobs > 1:
-        with Pool(processes=args.jobs) as pool:
+    jobs = min(args.jobs, len(tasks))
+    if jobs > 1:
+        with Pool(processes=jobs) as pool:
             rows = pool.map(_bench_task, tasks)
     else:
         rows = [_bench_task(t) for t in tasks]

@@ -5,6 +5,7 @@ from dataclasses import fields
 
 import pytest
 
+from amrsched import cli
 from amrsched.cli import main
 from amrsched.evaluation import evaluate_solution
 from amrsched.model import (PARAM_GROUPS, InstanceError, load_instance,
@@ -135,6 +136,36 @@ def test_bench_csv(hospital12_path, tmp_path, capsys):
     f50 = min(float(r[3]) for r in rows if r[0] == "50")
     f100 = min(float(r[3]) for r in rows if r[0] == "100")
     assert f100 <= f50
+
+
+def test_bench_starts_no_more_workers_than_tasks(hospital12_path, tmp_path,
+                                                 monkeypatch):
+    started = []
+
+    class SerialPool:
+        """Records the worker count asked for and runs the tasks in line."""
+
+        def __init__(self, processes):
+            started.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return [fn(task) for task in tasks]
+
+    monkeypatch.setattr(cli, "Pool", SerialPool)
+    for repeats, workers in ((2, [2]), (1, [])):
+        started.clear()
+        out = tmp_path / f"bench{repeats}.csv"
+        code = run(["bench", "--instance", hospital12_path, "--iterations", 20,
+                    "--repeats", repeats, "--jobs", 64, "--out", out])
+        assert code == 0
+        assert started == workers
+        assert len(out.read_text().splitlines()) == 1 + repeats
 
 
 def test_solve_with_overrides(hospital12_path, capsys, tmp_path):
