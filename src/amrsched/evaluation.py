@@ -74,10 +74,9 @@ def _walk_trip(inst: Instance, trip, t0: float, v0: float, b0: float,
     The walk starts at an arrival law of mean ``t0`` and variance ``v0``.
     Returns (depot arrival mean, depot arrival variance, battery, distance,
     window violations, capacity broken, battery broken, violating request
-    nodes).  With a
-    ``profile`` list, one (arrival mean, arrival variance, start mean, start
-    variance, departure mean, load, battery) tuple per node after the first
-    is appended to it.
+    nodes).  With a ``profile`` list, one (arrival mean, arrival variance,
+    start mean, start variance, departure mean, load, battery) tuple per node
+    after the first is appended to it.
     """
     tm = inst.travel_mean
     tv = inst.travel_var
@@ -237,8 +236,9 @@ _SOL_CACHE_LIMIT = 1 << 16
 def _amr_cost(inst, trips, caches):
     """Cost record of one AMR's chained trips: (distance, window violations,
     capacity flags, battery flags, violating nodes, depot arrival mean,
-    depot arrival variance, battery).  The memo holds one record per trip prefix; a walk resumes
-    from the longest cached prefix and stores every prefix it completes.
+    depot arrival variance, battery).  The memo holds one record per trip
+    prefix; a walk resumes from the longest cached prefix and stores every
+    prefix it completes.
     """
     cache = caches["amr"]
     hit = cache.get(trips)
