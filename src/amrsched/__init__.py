@@ -8,8 +8,7 @@ and a Monte Carlo plan validator.
 from .model import (AmrParams, CostParams, Gaussian, Instance, InstanceError,
                     Request, Solution, StochasticParams, StructuralError,
                     load_instance, normalize_solution, scale_distance,
-                    scale_variance, serialize_instance, solution_from_ids,
-                    validate_instance)
+                    scale_variance, serialize_instance, solution_from_ids)
 from .stochastic import (NodeTiming, normal_quantile, truncated_start,
                          violation_probability)
 from .evaluation import (SolutionEvaluation, TripEvaluation, evaluate_solution,

@@ -1,6 +1,7 @@
 """Command-line surface: solve, validate, oracle, convert, bench.
 
-Exit codes: 0 success, 1 usage/I-O/parse failure, 2 infeasibility (no
+Exit codes: 0 success, 1 usage, I/O or parse failure (one ``error:`` line;
+an option that leaves the instance invalid is one), 2 infeasibility (no
 zero-penalty solution found, or a plan that fails evaluation).
 """
 
@@ -17,8 +18,8 @@ from pathlib import Path
 
 from .evaluation import evaluate_solution, route_table, solution_to_dict
 from .model import (CostParams, Instance, StructuralError, load_instance,
-                    raise_violations, scale_distance, scale_variance,
-                    serialize_instance, solution_from_ids, validate_instance)
+                    scale_distance, scale_variance, serialize_instance,
+                    solution_from_ids)
 from .oracle import NoFeasibleSolution, exact_solve, mc_validate
 from .vns import solve
 
@@ -27,10 +28,17 @@ EXIT_ERROR = 1
 EXIT_INFEASIBLE = 2
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1 with one line, not argparse's usage block and exit
+    2 (the infeasibility code).  Subcommand parsers inherit this class."""
+
+    def error(self, message):
+        raise ValueError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="amrsched",
-                                description="Multi-trip AMR routing under "
-                                            "stochastic times")
+    p = _Parser(prog="amrsched",
+                description="Multi-trip AMR routing under stochastic times")
     sub = p.add_subparsers(dest="command", required=True)
 
     def add_instance_opts(sp):
@@ -92,7 +100,6 @@ def load_configured_instance(args) -> Instance:
         inst = scale_variance(inst, args.scale_variance)
     if args.scale_distance is not None:
         inst = scale_distance(inst, args.scale_distance)
-    raise_violations("options", validate_instance(inst))
     return inst
 
 
@@ -203,8 +210,8 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         code = _COMMANDS[args.command](args)
     except (ValueError, OSError) as exc:
         # ValueError covers InstanceError, StructuralError and JSONDecodeError

@@ -121,6 +121,10 @@ class Solution:
 
 @dataclass(eq=False)
 class Instance:
+    """Every construction, also through dataclasses.replace and scale_*,
+    raises one InstanceError listing each violated invariant (a NaN variance
+    would pass every chance test).  A None ``shift_start`` is derived."""
+
     requests: tuple[Request, ...]
     depot_floor: int
     charging_floors: tuple[int, ...]
@@ -129,14 +133,15 @@ class Instance:
     amr: AmrParams
     cost: CostParams
     stoch: StochasticParams
-    shift_start: float
+    shift_start: float | None = None
 
     def __post_init__(self):
-        # Derived, node-indexed lookups; every construction (also through
-        # dataclasses.replace) recomputes them from the fields above.
         n = len(self.requests)
         self.n_requests = n
         self.n_nodes = n + 1 + len(self.charging_floors)
+        if violations := _field_violations(self):
+            raise InstanceError("invalid instance: " + "; ".join(violations))
+        # Derived, node-indexed lookups, recomputed from the fields above.
         self.node_of_id = {r.id: 1 + i for i, r in enumerate(self.requests)}
         self.charging_nodes = tuple(range(n + 1, self.n_nodes))
         # Per-node request attributes; zeros for depot/charging keep the hot
@@ -169,11 +174,16 @@ class Instance:
         self.drain = [
             [d * self.amr.consume_rate for d in drow] for drow in self.distance
         ]
-        if not EPSILON[0](self.cost.epsilon):
-            # checked on every construction: a NaN quantile passes every
-            # chance test, so no Instance may carry a bad epsilon
-            raise InstanceError(f"cost.epsilon must be {EPSILON[1]}")
-        self.z_quantile = _normal_quantile_cached(1.0 - self.cost.epsilon)
+        if self.shift_start is None:
+            self.shift_start = default_shift_start(
+                self.requests, self.distance, self.floor_diff, self.amr, st)
+        if any(t > DAY for row in self.travel_mean for t in row):
+            raise InstanceError("invalid instance: mean travel times "
+                                "(distance / amr.speed + stoch) must be <= 86400 s")
+        # local import avoids a cycle: stochastic imports Gaussian from here
+        from .stochastic import normal_quantile
+
+        self.z_quantile = normal_quantile(1.0 - self.cost.epsilon)
         # evaluation.solution_cost memos, keyed by AMR trip prefix and solution
         self._caches = {"amr": {}, "sol": {}}
 
@@ -193,13 +203,6 @@ class Instance:
             k = node - self.n_requests - 1
             return "c" if len(self.charging_nodes) == 1 else f"c{k + 1}"
         return str(self.requests[node - 1].id)
-
-
-def _normal_quantile_cached(p: float) -> float:
-    # local import avoids a cycle: stochastic imports Gaussian from here
-    from .stochastic import normal_quantile
-
-    return normal_quantile(p)
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +237,7 @@ def format_time(seconds: float) -> str:
 
 
 def load_instance(source, format: str = "json", profile: str = "small") -> Instance:
-    """Load and validate an instance from JSON or Solomon VRPTW text.
+    """Load an instance from JSON or Solomon VRPTW text.
 
     ``source`` may be a path, a string/bytes payload, or an open file.  For
     ``format='solomon'`` the ``profile`` selects the first 15 customers
@@ -246,19 +249,10 @@ def load_instance(source, format: str = "json", profile: str = "small") -> Insta
             data = json.loads(text)
         except json.JSONDecodeError as exc:
             raise InstanceError(f"instance JSON does not parse: {exc}") from exc
-        inst = _instance_from_dict(data)
-    elif format == "solomon":
-        inst = _instance_from_solomon(text, profile)
-    else:
-        raise InstanceError(f"unknown instance format {format!r}")
-    raise_violations("instance", validate_instance(inst))
-    return inst
-
-
-def raise_violations(what: str, violations: list[str]) -> None:
-    """Raise one InstanceError listing every violation, if there are any."""
-    if violations:
-        raise InstanceError(f"invalid {what}: " + "; ".join(violations))
+        return _instance_from_dict(data)
+    if format == "solomon":
+        return _instance_from_solomon(text, profile)
+    raise InstanceError(f"unknown instance format {format!r}")
 
 
 def _read_source(source) -> str:
@@ -388,12 +382,9 @@ def _instance_from_dict(data) -> Instance:
         )
 
     amr, cost, stoch = (_params(data, group) for group in PARAM_GROUPS)
-    # amr.speed divides every travel time: check the AMR before deriving any
-    raise_violations("instance", _param_violations("amr", amr))
-    if data.get("shift_start") is not None:
-        shift_start = _time(data["shift_start"], "shift_start")
-    else:
-        shift_start = default_shift_start(requests, distance, floor_diff, amr, stoch)
+    shift_start = data.get("shift_start")
+    if shift_start is not None:
+        shift_start = _time(shift_start, "shift_start")
     return Instance(
         requests=tuple(requests),
         depot_floor=depot_floor,
@@ -437,15 +428,15 @@ def default_shift_start(requests, distance, floor_diff, amr, stoch) -> float:
 # validation
 
 
-def validate_instance(inst: Instance) -> list[str]:
-    """Return a list of invariant violations, one message per offence (empty = valid)."""
+def _field_violations(inst: Instance) -> list[str]:
+    """One message per offence against the fields' invariants (empty = valid);
+    the matrices are checked against ``inst.n_nodes``."""
     out = [msg for group in PARAM_GROUPS
            for msg in _param_violations(group, getattr(inst, group))]
     if inst.amr.battery_low >= inst.amr.battery_high:
         out.append("amr.alpha must be < amr.beta")
-    if any(t > DAY for row in inst.travel_mean for t in row):
-        out.append("mean travel times (distance / amr.speed + stoch) must be <= 86400 s")
-    out += _violation("shift_start", inst.shift_start, TIME)
+    if inst.shift_start is not None:
+        out += _violation("shift_start", inst.shift_start, TIME)
     seen_ids = set()
     for i, r in enumerate(inst.requests):
         path = f"requests[{i}]"
@@ -482,10 +473,11 @@ def _violation(path: str, value: float, rule) -> list[str]:
 
 
 def _check_matrix(m, n, name) -> list[str]:
+    short = [f"{name}[{i}] must have {n} entries"
+             for i, row in enumerate(m) if len(row) != n]
+    if len(m) != n or short:
+        return [f"{name} must be {n}x{n}"] + short[:1]
     out = []
-    if len(m) != n or any(len(row) != n for row in m):
-        out.append(f"{name} must be {n}x{n}")
-        return out
     for i in range(n):
         if m[i][i] != 0:
             out.append(f"{name}[{i}][{i}] must be 0")
@@ -540,9 +532,7 @@ def scale_distance(inst: Instance, k: float) -> Instance:
     follow).  The depot departure time is re-derived from the scaled travel
     means so the earliest windows stay reachable."""
     scaled = tuple(tuple(d * k for d in row) for row in inst.distance)
-    shift = default_shift_start(inst.requests, scaled, inst.floor_diff,
-                                inst.amr, inst.stoch)
-    return replace(inst, distance=scaled, shift_start=shift)
+    return replace(inst, distance=scaled, shift_start=None)
 
 
 def scale_variance(inst: Instance, n: float) -> Instance:

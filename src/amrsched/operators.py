@@ -356,7 +356,7 @@ def shake_2opt_l(inst: Instance, sol: Solution, rng: random.Random,
     is built.  Candidates whose changed AMRs are all cached are scored at
     once.  The rest are priced in ascending order of their objective
     xi1*m + xi2*distance, until that lower bound cannot beat the best score
-    found: the shake cost adds xi1 (>= 0 by validate_instance) times a
+    found: the shake cost adds xi1 (>= 0 on every Instance) times a
     violation count to the very same float.
     """
     flat = [(a, t) for a, amr in enumerate(sol.amrs) for t in range(len(amr))]

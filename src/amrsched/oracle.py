@@ -1,10 +1,11 @@
 """Independent verification tools.
 
 ``exact_solve`` enumerates every assignment of requests to ordered trips and
-trips to AMRs (symmetry-reduced), applies the canonical charging repair and
-keeps the provably cheapest feasible solution under the exact same
-evaluation the solver uses.  ``mc_validate`` replays a fixed plan against
-sampled travel/service times and reports empirical lateness frequencies.
+trips to AMRs (symmetry-reduced), applies the canonical charging repair where
+the cost flags a failure and keeps the provably cheapest feasible solution
+under the exact same evaluation the solver uses.  ``mc_validate`` replays a
+fixed plan against sampled travel/service times and reports empirical
+lateness frequencies.
 """
 
 from __future__ import annotations
@@ -79,11 +80,13 @@ def exact_solve(inst: Instance, max_requests: int = _EXACT_HARD_LIMIT):
             return
         sol = Solution(amrs=tuple(
             tuple((DEPOT, *t, DEPOT) for t in amr) for amr in amrs))
-        try:
-            sol = charging_insert_repair(inst, sol)
-        except StructuralError:
-            return
         cs = solution_cost(inst, sol)
+        if cs.flag_failures:  # unflagged, no arrival is below alpha to repair
+            try:
+                sol = charging_insert_repair(inst, sol)
+            except StructuralError:
+                return
+            cs = solution_cost(inst, sol)
         if cs.feasible and cs.objective < best_obj:
             best_obj = cs.objective
             best_sol = sol

@@ -217,6 +217,8 @@ def test_solve_unrepairable_battery_exit_code(tmp_path, capsys):
     ("instance", "charging.0 = 5"),
     ("instance", "charging.0.floor = null"),
     ("instance", "distance.1 = 5"),
+    ("instance", "distance.0 = [0]"),      # the default shift start reads row 0
+    ("instance", "floor_diff.0 = [0]"),
     ("instance", 'floor_diff.1.2 = "abc"'),
     # clock strings out of range or signed
     ("instance", 'requests.0.window.1 = "8:70"'),
@@ -314,6 +316,20 @@ def test_bad_option_is_one_error_line(option, value, hospital12_path, capsys):
     plan is built (a NaN chance quantile would pass every plan)."""
     assert_one_error_line(["solve", "--instance", hospital12_path,
                            "--iterations", 5, option, value], capsys)
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve"],                                            # no --instance
+    ["solve", "--instance", "x.json", "--iterations", "abc"],
+    ["plan"],                                             # unknown command
+])
+def test_usage_error_is_one_error_line(argv, capsys):
+    """A usage error exits 1 (2 means infeasible) with one line, not a
+    usage block; --help still exits 0."""
+    assert_one_error_line(argv, capsys)
+    with pytest.raises(SystemExit) as exit_info:
+        run(["solve", "--help"])
+    assert exit_info.value.code == 0
 
 
 def assert_one_error_line(argv, capsys):

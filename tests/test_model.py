@@ -1,6 +1,7 @@
 import json
 import math
 import random
+from dataclasses import replace
 from functools import reduce
 from operator import getitem
 
@@ -9,7 +10,7 @@ import pytest
 from amrsched.model import (InstanceError, StructuralError, instance_to_dict,
                             load_instance, parse_time, format_time,
                             scale_distance, scale_variance, serialize_instance,
-                            solution_from_ids, validate_instance)
+                            solution_from_ids)
 from amrsched.evaluation import evaluate_solution, solution_cost
 from amrsched.vns import solve
 from helpers import SOLOMON_SAMPLE, random_instance
@@ -35,7 +36,6 @@ def test_load_hospital12(hospital12):
     r1 = inst.requests[0]
     assert (r1.window_open, r1.window_close) == (29400.0, 30000.0)
     assert r1.demand == 4.0
-    assert validate_instance(inst) == []
     # defaulted departure: earliest opening minus the longest depot leg
     assert inst.shift_start == pytest.approx(29400 - (150 + 6 + 51.25))
 
@@ -83,7 +83,7 @@ def test_validate_flags_asymmetry(hospital12):
      r"distance\[0\]\[1\] and \[1\]\[0\] must be finite"),
     ([("requests", 3, "service_var")], math.inf,
      r"requests\[3\]\.service_var must be finite"),
-    ([("cost", "epsilon")], math.nan, r"cost\.epsilon must be in \(0, 1\)"),
+    ([("cost", "epsilon")], math.nan, r"cost\.epsilon must be finite"),
     ([("amr", "alpha")], math.inf, r"amr\.alpha must be finite"),
     ([("cost", "xi1")], math.nan, r"cost\.xi1 must be finite"),
 ])
@@ -120,6 +120,23 @@ def test_validate_rejects_out_of_range(hospital12, keys, value, message):
     reduce(getitem, parents, data)[last] = value
     with pytest.raises(InstanceError, match=message):
         load_instance(json.dumps(data))
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda i: scale_variance(i, math.nan), r"stoch\.sigma0_sq must be finite"),
+    (lambda i: scale_distance(i, -1), r"distance\[0\]\[1\] must be >= 0"),
+    (lambda i: scale_distance(i, math.nan),
+     r"distance\[0\]\[1\] and \[1\]\[0\] must be finite"),
+    (lambda i: replace(i, amr=replace(i.amr, speed=0)), r"amr\.speed must be > 0"),
+    (lambda i: replace(i, cost=replace(i.cost, fixed_per_amr=-30)),
+     r"cost\.xi1 must be >= 0"),
+], ids=["scale_variance-nan", "scale_distance-negative", "scale_distance-nan",
+        "replace-speed-0", "replace-xi1-negative"])
+def test_every_construction_is_checked(hospital12, build, message):
+    """Not only the loader: a transform or dataclasses.replace that breaks an
+    invariant raises too (a NaN variance would pass every chance test)."""
+    with pytest.raises(InstanceError, match=message):
+        build(hospital12)
 
 
 def test_round_trip_field_for_field(hospital12):
@@ -174,7 +191,6 @@ def test_solomon_small_profile_floors():
     assert r1.demand == 10.0
     # Euclidean distance from the depot: (35,35) -> (41,49)
     assert inst.distance[0][1] == pytest.approx(math.hypot(6, 14))
-    assert validate_instance(inst) == []
 
 
 def test_solomon_large_profile_keeps_all():

@@ -203,6 +203,23 @@ def test_charging_insert_noop_on_feasible(hospital12):
     assert charging_insert_repair(hospital12, sol) is sol
 
 
+def test_unflagged_plan_is_left_to_itself_by_the_charging_repair():
+    """exact_solve repairs only plans whose cost shows a flag: a plan with no
+    flag has no sub-alpha arrival, so the repair returns it as it is."""
+    rng = random.Random(78)
+    unflagged_tight = flagged = 0
+    for case in range(160):
+        tight = case % 2 == 0
+        inst = random_instance(rng, rng.randint(2, 9), tight_battery=tight)
+        sol = random_solution(rng, inst, max_trip=rng.randint(1, 6))
+        if solution_cost(inst, sol).flag_failures:
+            flagged += 1
+            continue
+        unflagged_tight += tight
+        assert charging_insert_repair(inst, sol) is sol
+    assert flagged > 20 and unflagged_tight > 10
+
+
 def test_charging_insert_without_station_raises():
     import dataclasses
     rng = random.Random(30)

@@ -181,7 +181,9 @@ def test_chance_satisfied_quantile_boundary(hospital12):
         base.stoch, sigma0_sq=0.0, sigmaf_sq=0.0))
 
     def passes(inst, close):
-        req = dataclasses.replace(inst.requests[0], window_close=close)
+        # the window opens an hour early, below every probe of the close
+        req = dataclasses.replace(inst.requests[0], window_close=close,
+                                  window_open=inst.requests[0].window_open - 3600)
         inst = dataclasses.replace(inst, requests=(req,))
         return evaluate_trip(inst, (DEPOT, 1, DEPOT), inst.shift_start, 0.8,
                              20.0).tw_ok
