@@ -69,7 +69,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("oracle", help="exact solver for small instances")
     add_instance_opts(sp)
-    sp.add_argument("--max-requests", type=int, default=9)
     sp.add_argument("--out", default=None)
 
     sp = sub.add_parser("convert", help="Solomon VRPTW text to instance JSON")
@@ -150,7 +149,7 @@ def cmd_validate(args) -> int:
 def cmd_oracle(args) -> int:
     inst = load_configured_instance(args)
     try:
-        sol, objective = exact_solve(inst, max_requests=args.max_requests)
+        sol, objective = exact_solve(inst)
     except NoFeasibleSolution as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE

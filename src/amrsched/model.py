@@ -473,22 +473,30 @@ def _violation(path: str, value: float, rule) -> list[str]:
 
 
 def _check_matrix(m, n, name) -> list[str]:
+    """One message per kind of offence, naming its first cell and counting
+    the other cells that commit it."""
     short = [f"{name}[{i}] must have {n} entries"
              for i, row in enumerate(m) if len(row) != n]
     if len(m) != n or short:
         return [f"{name} must be {n}x{n}"] + short[:1]
-    out = []
+    bad = []   # (message template, i, j) per offending cell
     for i in range(n):
         if m[i][i] != 0:
-            out.append(f"{name}[{i}][{i}] must be 0")
+            bad.append(("{0}[{1}][{1}] must be 0", i, i))
         for j in range(i + 1, n):
             if not (math.isfinite(m[i][j]) and math.isfinite(m[j][i])):
-                out.append(f"{name}[{i}][{j}] and [{j}][{i}] must be finite")
+                bad.append(("{0}[{1}][{2}] and [{2}][{1}] must be finite", i, j))
                 continue
             if m[i][j] < 0:
-                out.append(f"{name}[{i}][{j}] must be >= 0")
+                bad.append(("{0}[{1}][{2}] must be >= 0", i, j))
             if m[i][j] != m[j][i]:
-                out.append(f"{name}[{i}][{j}] != {name}[{j}][{i}]")
+                bad.append(("{0}[{1}][{2}] != {0}[{2}][{1}]", i, j))
+    out = []
+    for text in dict.fromkeys(t for t, _, _ in bad):
+        cells = [(i, j) for t, i, j in bad if t == text]
+        more = len(cells) - 1
+        out.append(text.format(name, *cells[0])
+                   + (f" (and {more} more cell{'s' * (more > 1)})" if more else ""))
     return out
 
 

@@ -15,7 +15,8 @@ import math
 import random
 
 from .model import DEPOT, Instance, Solution, StructuralError, normalize_solution
-from .evaluation import _amr_cost, _fold, _objective, solution_cost
+from .evaluation import (_BATTERY_EPS, _LOAD_EPS, _amr_cost, _fold, _objective,
+                         solution_cost)
 
 _REPAIR_ROUNDS_PER_REQUEST = 2
 
@@ -211,7 +212,7 @@ def depot_insert_repair(inst: Instance, sol: Solution) -> Solution:
             load = inst.amr.capacity
             for node in trip[1:-1]:
                 q = inst.demand[node]
-                if q > load + 1e-9:
+                if q > load + _LOAD_EPS:
                     segment.append(DEPOT)
                     trips.append(tuple(segment))
                     segment = [DEPOT]
@@ -257,7 +258,7 @@ def charging_insert_repair(inst: Instance, sol: Solution) -> Solution:
             station = _nearest_station(inst, prev)
             at_station = b_prev - inst.drain[prev][station]
             # the station must be reachable and the charge must change state
-            if at_station >= alpha - 1e-12 and at_station < beta - 1e-12:
+            if at_station >= alpha - _BATTERY_EPS and at_station < beta - _BATTERY_EPS:
                 amrs[a][ti].insert(ni, station)
                 break
         else:
@@ -287,10 +288,10 @@ def _battery_violation(inst, trips):
             node = trip[i]
             slots.append((t, i, battery))
             battery -= drain[prev][node]
-            if battery < alpha - 1e-12:
+            if battery < alpha - _BATTERY_EPS:
                 return t, i, slots
             if inst.is_charging(node):
-                if battery < beta - 1e-12:
+                if battery < beta - _BATTERY_EPS:
                     battery = beta
                 slots = []
             prev = node

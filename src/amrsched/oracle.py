@@ -1,11 +1,10 @@
 """Independent verification tools.
 
-``exact_solve`` enumerates every assignment of requests to ordered trips and
-trips to AMRs (symmetry-reduced), applies the canonical charging repair where
-the cost flags a failure and keeps the provably cheapest feasible solution
-under the exact same evaluation the solver uses.  ``mc_validate`` replays a
-fixed plan against sampled travel/service times and reports empirical
-lateness frequencies.
+``exact_solve`` returns a provably cheapest feasible plan under the exact
+evaluation the solver uses: it enumerates every one-AMR day once and picks
+the cheapest partition of the requests into days by a DP over request
+bitmasks.  ``mc_validate`` replays a fixed plan against sampled
+travel/service times and reports empirical lateness frequencies.
 """
 
 from __future__ import annotations
@@ -16,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import DEPOT, Instance, Solution, StructuralError, check_solution_structure
-from .evaluation import solution_cost
+from .evaluation import (_BATTERY_EPS, _LOAD_EPS, _amr_cost, _objective,
+                         solution_cost)
 from .operators import charging_insert_repair
 
 _EXACT_HARD_LIMIT = 9
@@ -26,115 +26,97 @@ class NoFeasibleSolution(RuntimeError):
     """exact_solve exhausted the search space without a feasible plan."""
 
 
-def exact_solve(inst: Instance, max_requests: int = _EXACT_HARD_LIMIT):
-    """Minimum-objective feasible solution by exhaustive enumeration.
+def exact_solve(inst: Instance):
+    """Minimum-objective feasible solution.
 
-    Search layers: requests into ordered trips (capacity-pruned, plus the
-    hard-ordering prune: placing a request after one whose window opens past
-    its own close is provably late for any epsilon <= 0.5), then trips into
-    per-AMR ordered lists.  Both layers use insertion-in-canonical-order so
-    each unordered configuration is visited once.  Returns (solution,
-    objective); raises NoFeasibleSolution when nothing passes.
+    The objective ``xi1 * m + xi2 * distance`` is a sum over AMRs and every
+    constraint holds per AMR, so an optimum is a partition of the requests
+    in which each part is served by its cheapest feasible one-AMR day (the
+    ordered trips one AMR drives; Azi, Gendreau & Potvin, 2010).  A day
+    grows by appending an unserved request to its open trip (capacity
+    permitting) or by opening a new trip with it, so each day is built once.
+    It is priced by the AMR prefix memo, which walks only its last trip, and
+    after the canonical charging repair when its record shows a battery
+    flag.  When ``_growth_prunes_sound`` holds, two provably late growths
+    are skipped: a request ``r`` after one whose window opens after ``r``'s
+    closes, and any growth of a day whose unrepaired walk breaks a window
+    (appending never moves an earlier arrival, the battery moves no time on
+    a day without stations, and no repair detour arrives earlier).  A subset
+    DP (Held & Karp, 1962) joins the days.  Returns (solution, objective);
+    raises NoFeasibleSolution when nothing passes.
     """
-    limit = min(max_requests, _EXACT_HARD_LIMIT)
     n = inst.n_requests
-    if n > limit:
-        raise ValueError(f"exact_solve refuses {n} requests (limit {limit})")
-    if n == 0:
-        return Solution(amrs=()), 0.0
-
-    xi1 = inst.cost.fixed_per_amr
-    xi2 = inst.cost.per_meter
-    hard_order_prune = inst.cost.epsilon <= 0.5
-    e = inst.window_open
-    h = inst.window_close
-    dmat = inst.distance
+    if n > _EXACT_HARD_LIMIT:
+        raise ValueError(f"exact_solve refuses {n} requests (limit {_EXACT_HARD_LIMIT})")
+    caches = inst._caches
+    prune = _growth_prunes_sound(inst)
     demand = inst.demand
-    capacity = inst.amr.capacity
+    capacity = inst.amr.capacity + _LOAD_EPS
+    bit = [0] + [1 << (r - 1) for r in range(1, n + 1)]
+    # blocked[r]: the requests r may not follow on one day
+    blocked = [sum(bit[x] for x in range(1, n + 1)
+                   if prune and inst.window_open[x] > inst.window_close[r])
+               for r in range(n + 1)]
 
-    best_sol: Solution | None = None
-    best_obj = math.inf
-
-    def trip_distance(t):
-        d = dmat[DEPOT][t[0]] + dmat[t[-1]][DEPOT]
-        for a, b in zip(t, t[1:]):
-            d += dmat[a][b]
-        return d
-
-    def order_conflict(trip, pos, r):
-        if not hard_order_prune:
-            return False
-        h_r = h[r]
-        e_r = e[r]
-        for x in trip[:pos]:
-            if e[x] > h_r:
-                return True
-        for y in trip[pos:]:
-            if e_r > h[y]:
-                return True
-        return False
-
-    def evaluate_assignment(amrs, dist_lb):
-        nonlocal best_sol, best_obj
-        if xi1 * len(amrs) + xi2 * dist_lb >= best_obj - 1e-12:
-            return
-        sol = Solution(amrs=tuple(
-            tuple((DEPOT, *t, DEPOT) for t in amr) for amr in amrs))
-        cs = solution_cost(inst, sol)
-        if cs.flag_failures:  # unflagged, no arrival is below alpha to repair
+    best_day = {}   # request bitmask -> (objective, cheapest feasible day)
+    stack = [(((DEPOT, r, DEPOT),), bit[r], demand[r]) for r in range(n, 0, -1)]
+    while stack:
+        day, mask, load = stack.pop()
+        record = _amr_cost(inst, day, caches)
+        plan = day
+        if record[3]:
             try:
-                sol = charging_insert_repair(inst, sol)
+                plan = charging_insert_repair(inst, Solution(amrs=(day,))).amrs[0]
             except StructuralError:
-                return
-            cs = solution_cost(inst, sol)
-        if cs.feasible and cs.objective < best_obj:
-            best_obj = cs.objective
-            best_sol = sol
-
-    def assign(trips, idx, amrs, dist_lb):
-        if xi1 * max(len(amrs), 1) + xi2 * dist_lb >= best_obj - 1e-12:
-            return
-        if idx == len(trips):
-            evaluate_assignment(amrs, dist_lb)
-            return
-        t = trips[idx]
-        amrs.append([t])
-        assign(trips, idx + 1, amrs, dist_lb)
-        amrs.pop()
-        for amr in amrs:
-            for pos in range(len(amr) + 1):
-                amr.insert(pos, t)
-                assign(trips, idx + 1, amrs, dist_lb)
-                amr.pop(pos)
-
-    def build(r, trips, loads):
-        if r > n:
-            dist_lb = sum(trip_distance(t) for t in trips)
-            assign([tuple(t) for t in trips], 0, [], dist_lb)
-            return
-        q = demand[r]
-        trips.append([r])
-        loads.append(q)
-        build(r + 1, trips, loads)
-        trips.pop()
-        loads.pop()
-        for k, t in enumerate(trips):
-            if loads[k] + q > capacity + 1e-9:
+                plan = None
+        priced = plan and _amr_cost(inst, plan, caches)
+        if priced and not any(priced[1:4]):
+            cost = _objective(inst, 1, priced[0])
+            if cost < best_day.get(mask, (math.inf,))[0]:
+                best_day[mask] = (cost, plan)
+        if prune and record[1]:
+            continue
+        for r in range(n, 0, -1):
+            if mask & (bit[r] | blocked[r]):
                 continue
-            loads[k] += q
-            for pos in range(len(t) + 1):
-                if order_conflict(t, pos, r):
-                    continue
-                t.insert(pos, r)
-                build(r + 1, trips, loads)
-                t.pop(pos)
-            loads[k] -= q
-        return
+            stack.append((day + ((DEPOT, r, DEPOT),), mask | bit[r], demand[r]))
+            if load + demand[r] <= capacity:
+                stack.append((day[:-1] + (day[-1][:-1] + (r, DEPOT),),
+                              mask | bit[r], load + demand[r]))
 
-    build(1, [], [])
-    if best_sol is None:
+    # best[mask]: (objective, day holding mask's lowest request) of the
+    # cheapest cover of mask
+    best = [(0.0, 0)]
+    for mask in range(1, 1 << n):
+        low = mask & -mask
+        best.append(min(((cost + best[mask ^ part][0], part)
+                          for part, (cost, _) in best_day.items()
+                          if part & low and part & mask == part),
+                         default=(math.inf, 0)))
+    if best[-1][0] == math.inf:
         raise NoFeasibleSolution("no feasible plan exists for this instance")
-    return best_sol, best_obj
+    amrs = []
+    mask = len(best) - 1
+    while mask:
+        part = best[mask][1]
+        amrs.append(best_day[part][1])
+        mask ^= part
+    sol = Solution(amrs=tuple(amrs))
+    return sol, solution_cost(inst, sol).objective
+
+
+def _growth_prunes_sound(inst: Instance) -> bool:
+    """Whether exact_solve's two lateness prunes are sound: epsilon <= 0.5,
+    so the window test ``mean + z * sigma`` rises with the arrival's mean and
+    variance, and no detour u -> c -> w through a charging station has a
+    smaller travel mean or variance than the leg u -> w.  Where this fails
+    the search is slower but still exact."""
+    tm = inst.travel_mean
+    tv = inst.travel_var
+    nodes = range(inst.n_nodes)
+    return inst.cost.epsilon <= 0.5 and not any(
+        tm[u][c] + tm[c][w] < tm[u][w] or tv[u][c] + tv[c][w] < tv[u][w]
+        for c in inst.charging_nodes for u in nodes for w in nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +197,7 @@ def mc_validate(inst: Instance, sol: Solution, samples: int,
                     else:
                         t = t + max(smu, 0.0)
                 elif inst.is_charging(node):
-                    if battery < amrp.battery_high - 1e-12:
+                    if battery < amrp.battery_high - _BATTERY_EPS:
                         t = t + (amrp.battery_high - battery) / amrp.charge_rate
                         battery = amrp.battery_high
                 prev = node

@@ -17,10 +17,11 @@ import math
 import random
 
 from .model import DEPOT, Instance, Solution, StructuralError, normalize_solution
-from .evaluation import _walk_trip, evaluate_solution, solution_cost
-from .operators import (amr_decrease, charging_insert_repair,
-                        depot_insert_repair, relocation_star, shake_2opt_l,
-                        shake_cost, swap_star, two_opt_star)
+from .evaluation import _LOAD_EPS, _walk_trip, evaluate_solution, solution_cost
+from .operators import (_REPAIR_ROUNDS_PER_REQUEST, amr_decrease,
+                        charging_insert_repair, depot_insert_repair,
+                        relocation_star, shake_2opt_l, shake_cost, swap_star,
+                        two_opt_star)
 
 _NEIGHBORHOODS = (swap_star, two_opt_star, relocation_star)
 
@@ -58,7 +59,7 @@ def greedy_initial(inst: Instance, rng: random.Random | None = None) -> Solution
             order[0], order[1] = order[1], order[0]
         placed = False
         for r in order:
-            if load + inst.demand[r] > inst.amr.capacity + 1e-9:
+            if load + inst.demand[r] > inst.amr.capacity + _LOAD_EPS:
                 continue
             best = None
             for pos in range(len(body) + 1):
@@ -137,7 +138,7 @@ def feasible_operation(inst: Instance, x: Solution) -> Solution:
     them returns its least-penalized plan, flagged infeasible.
     """
     cs = solution_cost(inst, x)
-    rounds = max(4, 2 * inst.n_requests)
+    rounds = max(4, _REPAIR_ROUNDS_PER_REQUEST * inst.n_requests)
     for _ in range(rounds):
         if cs.flag_failures == 0:
             break
@@ -153,21 +154,19 @@ def feasible_operation(inst: Instance, x: Solution) -> Solution:
 
 
 def shaking(inst: Instance, x_l: Solution, rng: random.Random,
-            delta: float | None = None, candidates: int = 20) -> Solution:
+            candidates: int = 20) -> Solution:
     """Best-of-L tail-exchange shake, accepted when its shake cost stays
-    under delta times the current one.
+    under ``cost.shake_delta`` times the current one.
 
     Acceptance prices violated constraints at one fixed cost each (see
     shake_cost): under the full xi3 surrogate no window-breaking perturbation
     could ever pass a delta gate, and the search would stay locked inside the
     first feasible basin it reaches.
     """
-    if delta is None:
-        delta = inst.cost.shake_delta
     x_s = shake_2opt_l(inst, x_l, rng, candidates)
     cost_s = shake_cost(inst, solution_cost(inst, x_s))
     cost_l = shake_cost(inst, solution_cost(inst, x_l))
-    if cost_s < cost_l * delta:
+    if cost_s < cost_l * inst.cost.shake_delta:
         return x_s
     return x_l
 

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 
 from amrsched.model import (AmrParams, CostParams, DEPOT, Gaussian, Instance,
-                            Request, Solution, StochasticParams,
+                            Request, Solution, StochasticParams, StructuralError,
                             default_shift_start, load_instance,
                             normalize_solution, serialize_instance,
                             solution_from_ids)
@@ -189,6 +189,48 @@ def reference_shake(inst: Instance, sol: Solution, rng: random.Random,
             best = cand
             best_pen = pen
     return (best if best is not None else sol), built
+
+
+def brute_force_objective(inst: Instance) -> float:
+    """Cheapest feasible objective over every plan, with no pruning: each
+    partition of the requests into AMRs, each day of every part (request
+    order and trip breaks), priced by solution_cost after the charging
+    repair.  math.inf when no plan is feasible.  Meant for <= 5 requests."""
+    from itertools import permutations, product
+
+    from amrsched.evaluation import solution_cost
+    from amrsched.operators import charging_insert_repair
+
+    def partitions(items):
+        if not items:
+            yield []
+            return
+        for rest in partitions(items[1:]):
+            yield [[items[0]], *rest]
+            for k in range(len(rest)):
+                yield [*rest[:k], [items[0], *rest[k]], *rest[k + 1:]]
+
+    def days(part):
+        for order in permutations(part):
+            for breaks in product((False, True), repeat=len(order) - 1):
+                trips = [[DEPOT, order[0]]]
+                for node, new_trip in zip(order[1:], breaks):
+                    if new_trip:
+                        trips.append([DEPOT])
+                    trips[-1].append(node)
+                yield tuple((*t, DEPOT) for t in trips)
+
+    best = math.inf
+    for parts in partitions(list(range(1, inst.n_requests + 1))):
+        for amrs in product(*(list(days(p)) for p in parts)):
+            try:
+                sol = charging_insert_repair(inst, Solution(amrs=amrs))
+            except StructuralError:
+                continue
+            cost = solution_cost(inst, sol)
+            if cost.feasible:
+                best = min(best, cost.objective)
+    return best
 
 
 def mc_truncated_moments(mu: float, sigma: float, e: float, samples: int,

@@ -318,6 +318,16 @@ def test_bad_option_is_one_error_line(option, value, hospital12_path, capsys):
                            "--iterations", 5, option, value], capsys)
 
 
+def test_bad_matrix_is_one_short_error_line(hospital64_path, capsys):
+    """Every cell of a negated matrix breaks the same rule: the line names
+    the first and counts the rest instead of listing 2108 cells."""
+    err = assert_one_error_line(["solve", "--instance", hospital64_path,
+                                 "--iterations", 5, "--scale-distance", -1],
+                                capsys)
+    assert "distance[0][1] must be >= 0 (and 2107 more cells)" in err
+    assert len(err.encode()) < 300
+
+
 @pytest.mark.parametrize("argv", [
     ["solve"],                                            # no --instance
     ["solve", "--instance", "x.json", "--iterations", "abc"],

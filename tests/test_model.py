@@ -77,6 +77,17 @@ def test_validate_flags_asymmetry(hospital12):
         load_instance(json.dumps(data))
 
 
+def test_matrix_offences_are_counted_per_kind(hospital12):
+    data = instance_to_dict(hospital12)
+    data["distance"][0][1] = data["distance"][2][3] = 999
+    data["distance"][4][5] = data["distance"][5][4] = -1
+    with pytest.raises(InstanceError) as info:
+        load_instance(json.dumps(data))
+    assert str(info.value) == (
+        "invalid instance: distance[0][1] != distance[1][0] (and 1 more cell); "
+        "distance[4][5] must be >= 0")
+
+
 @pytest.mark.parametrize("keys, value, message", [
     ([("amr", "speed")], math.inf, r"amr\.speed must be finite"),
     ([("distance", 0, 1), ("distance", 1, 0)], math.nan,

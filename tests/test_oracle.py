@@ -4,11 +4,13 @@ import random
 
 import pytest
 
-from amrsched.model import Gaussian, Solution, solution_from_ids
-from amrsched.evaluation import evaluate_solution, solution_cost
-from amrsched.oracle import NoFeasibleSolution, exact_solve, mc_validate
+from amrsched.model import DEPOT, Gaussian, Solution, solution_from_ids
+from amrsched.evaluation import _walk_trip, evaluate_solution, solution_cost
+from amrsched.oracle import (NoFeasibleSolution, _growth_prunes_sound,
+                             exact_solve, mc_validate)
 from amrsched.vns import solve
-from helpers import paper_optimum, random_instance, sub_instance
+from helpers import (brute_force_objective, paper_optimum, random_instance,
+                     sub_instance)
 
 
 def test_exact_single_request():
@@ -59,12 +61,107 @@ def test_exact_never_above_heuristic():
 
 
 def test_exact_refuses_oversize(hospital12):
-    with pytest.raises(ValueError, match="refuses"):
-        exact_solve(hospital12, max_requests=9)
-    rng = random.Random(1)
-    inst = random_instance(rng, 4)
-    with pytest.raises(ValueError):
-        exact_solve(inst, max_requests=3)
+    with pytest.raises(ValueError, match="refuses 10 requests"):
+        exact_solve(sub_instance(hospital12, list(range(1, 11))))
+
+
+def test_exact_matches_brute_force():
+    """Against a reference with no pruning, on plain and tight-battery
+    instances, and at epsilon = 0.6, where the growth prunes are off."""
+    rng = random.Random(11)
+    charged = 0
+    for case in range(32):
+        inst = random_instance(rng, rng.randint(1, 5), tight_battery=case % 2 == 0,
+                               tight_windows=case % 3 == 0)
+        if case % 4 == 0:  # one leg may drain half the battery
+            inst = dataclasses.replace(inst, amr=dataclasses.replace(
+                inst.amr, consume_rate=1.5 * inst.amr.consume_rate))
+        if case % 8 >= 4:
+            inst = dataclasses.replace(
+                inst, cost=dataclasses.replace(inst.cost, epsilon=0.6))
+        assert _growth_prunes_sound(inst) == (case % 8 < 4)
+        sol, obj = exact_solve(inst)
+        assert obj == pytest.approx(brute_force_objective(inst), abs=1e-9), case
+        charged += any(inst.is_charging(n) for trip in sol.trips() for n in trip)
+    assert charged >= 3
+
+
+def test_exact_lets_a_wide_arrival_pass_late_above_half_epsilon():
+    """At epsilon > 0.5 the window test subtracts a multiple of sigma, so
+    the order prune is off: request 2 opens after request 1 closes, yet its
+    wide service law lets request 1 follow it, on the one-AMR optimum."""
+    inst = random_instance(random.Random(5), 2)
+    r1, r2 = inst.requests
+    reqs = (dataclasses.replace(r1, window_open=30000.0, window_close=31000.0,
+                                service=Gaussian(3000.0, 36.0)),
+            dataclasses.replace(r2, window_open=31010.0, window_close=32000.0,
+                                service=Gaussian(0.0, 86400.0 ** 2)))
+    inst = dataclasses.replace(inst, requests=reqs, shift_start=None,
+                               cost=dataclasses.replace(inst.cost, epsilon=0.6))
+    sol, obj = exact_solve(inst)
+    assert sol.amrs == (((DEPOT, 2, 1, DEPOT),),)
+    assert obj == pytest.approx(brute_force_objective(inst), abs=1e-9)
+
+
+def test_exact_stays_exact_where_a_charger_detour_is_a_shortcut():
+    """A charger one metre from every node makes a detour shorter than the
+    direct leg, so a repaired day can arrive earlier than its unrepaired
+    walk: the growth prunes are off, and the search still finds the
+    optimum."""
+    inst = random_instance(random.Random(4), 4, tight_battery=True,
+                           tight_windows=True)
+    charger = inst.charging_nodes[0]
+    distance = [[4.0 * d for d in row] for row in inst.distance]
+    for x in range(inst.n_nodes):
+        if x != charger:
+            distance[x][charger] = distance[charger][x] = 1.0
+    amr = dataclasses.replace(inst.amr, charge_rate=0.01,
+                              consume_rate=1.5 / 4.0 * inst.amr.consume_rate)
+    inst = dataclasses.replace(inst, distance=tuple(map(tuple, distance)),
+                               amr=amr, shift_start=None)
+    assert not _growth_prunes_sound(inst)
+    sol, obj = exact_solve(inst)
+    assert any(inst.is_charging(n) for trip in sol.trips() for n in trip)
+    assert obj == pytest.approx(brute_force_objective(inst), abs=1e-9)
+
+
+def test_growth_prune_premises_hold(hospital12, hospital64):
+    """exact_solve prunes only where no detour through a charging station
+    arrives earlier, in mean or in variance, than the direct leg: true of
+    the shipped instances and of criterion 3's generator, so the tests and
+    the benchmark run the pruned search."""
+    rng = random.Random(2024)
+    insts = [hospital12, hospital64] + [
+        random_instance(rng, rng.randint(2, 6), tight_windows=case % 2 == 0)
+        for case in range(20)]
+    assert all(_growth_prunes_sound(inst) for inst in insts)
+
+
+def test_later_or_wider_start_never_ends_earlier_or_narrower():
+    """The other premise of the window prune: in _walk_trip a start with a
+    larger mean or variance never gives any node an earlier or narrower
+    arrival or start, nor fewer window violations.  The tolerance covers the
+    rounding of the truncated moments, which grows with the squared wait."""
+    rng = random.Random(31)
+    for case in range(300):
+        inst = random_instance(rng, rng.randint(1, 6), tight_battery=case % 2 == 0,
+                               tight_windows=case % 3 == 0)
+        body = rng.sample(range(1, inst.n_requests + 1), rng.randint(1, inst.n_requests))
+        for _ in range(rng.randint(0, 2)):
+            body.insert(rng.randint(0, len(body)), inst.charging_nodes[0])
+        trip = (DEPOT, *body, DEPOT)
+        t0 = inst.shift_start + rng.uniform(-2000, 4000)
+        v0 = rng.choice([0.0, rng.uniform(0, 4e4)])
+        dt, dv = rng.choice([(rng.uniform(0, 3000), 0.0), (0.0, rng.uniform(0, 4e4)),
+                             (rng.uniform(0, 3000), rng.uniform(0, 4e4))])
+        b0 = rng.uniform(0.3, 0.8)
+        base, later = [], []
+        *_, viol = _walk_trip(inst, trip, t0, v0, b0, inst.amr.capacity, base)
+        *_, viol_later = _walk_trip(inst, trip, t0 + dt, v0 + dv, b0,
+                                    inst.amr.capacity, later)
+        for x, y in zip(base, later):
+            assert all(y[k] >= x[k] - 1e-6 for k in range(4)), (case, x, y)
+        assert set(viol) <= set(viol_later), case
 
 
 def test_exact_reports_infeasible():

@@ -81,10 +81,14 @@ def test_shaking_delta_rule(hospital12):
     else:
         pytest.fail("no worsening shake found")
     ratio = pen_s / pen_l
-    accept = shaking(inst, x_l, random.Random(seed), delta=ratio * 1.01,
+
+    def with_delta(delta):
+        return dataclasses.replace(inst, cost=dataclasses.replace(
+            inst.cost, shake_delta=delta))
+    accept = shaking(with_delta(ratio * 1.01), x_l, random.Random(seed),
                      candidates=3)
-    reject = shaking(inst, x_l, random.Random(seed),
-                     delta=max(1.0001, ratio * 0.99), candidates=3)
+    reject = shaking(with_delta(max(1.0001, ratio * 0.99)), x_l,
+                     random.Random(seed), candidates=3)
     assert accept == x_s
     assert reject == x_l
 
