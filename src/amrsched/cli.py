@@ -54,7 +54,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_instance_opts(sp)
     sp.add_argument("--iterations", type=int, default=4000)
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--shake-candidates", type=int, default=20)
     sp.add_argument("--out", default=None, help="write solution JSON here")
     sp.add_argument("--verbose", action="store_true",
                     help="emit iteration,best_objective,incumbent_penalized "
@@ -83,7 +82,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--repeats", type=int, default=10)
     sp.add_argument("--seed", type=int, default=0, help="first seed")
     sp.add_argument("--jobs", type=int, default=1)
-    sp.add_argument("--shake-candidates", type=int, default=20)
     sp.add_argument("--out", default=None, help="write the CSV here")
     return p
 
@@ -116,7 +114,6 @@ def cmd_solve(args) -> int:
         def trace(n, best_obj, pen):
             print(f"{n},{best_obj},{pen}", file=sys.stderr)
     sol, ev, _history = solve(inst, args.iterations, seed=args.seed,
-                              shake_candidates=args.shake_candidates,
                               on_iteration=trace)
     print(route_table(inst, sol, ev))
     payload = json.dumps(solution_to_dict(inst, sol, ev), indent=2, sort_keys=True)
@@ -142,7 +139,8 @@ def cmd_validate(args) -> int:
         print("plan is infeasible under the analytic evaluation", file=sys.stderr)
         return EXIT_INFEASIBLE
     report = mc_validate(inst, sol, args.mc_samples, seed=args.seed)
-    _write_or_print(json.dumps(report.to_dict(), indent=2, sort_keys=True), args.out)
+    payload = json.dumps(dataclasses.asdict(report), indent=2, sort_keys=True)
+    _write_or_print(payload, args.out)
     return EXIT_OK
 
 
@@ -166,10 +164,10 @@ def cmd_convert(args) -> int:
 
 
 def _bench_task(task):
-    instance_json, n_iters, seed, shake_candidates = task
+    instance_json, n_iters, seed = task
     inst = load_instance(instance_json)
     t0 = time.perf_counter()
-    _sol, ev, _ = solve(inst, n_iters, seed=seed, shake_candidates=shake_candidates)
+    _sol, ev, _ = solve(inst, n_iters, seed=seed)
     elapsed = time.perf_counter() - t0
     f = ev.objective if ev.feasible else math.inf
     return n_iters, seed, ev.amr_count, ev.total_distance, f, elapsed
@@ -184,8 +182,7 @@ def cmd_bench(args) -> int:
         print(f"bad --iterations list: {args.iterations}", file=sys.stderr)
         return EXIT_ERROR
     seeds = list(range(args.seed, args.seed + args.repeats))
-    tasks = [(instance_json, n, s, args.shake_candidates)
-             for n in n_values for s in seeds]
+    tasks = [(instance_json, n, s) for n in n_values for s in seeds]
     jobs = min(args.jobs, len(tasks))
     if jobs > 1:
         with Pool(processes=jobs) as pool:

@@ -198,14 +198,16 @@ def evaluate_solution(inst: Instance, sol: Solution) -> SolutionEvaluation:
         t = inst.shift_start
         var = 0.0
         battery = inst.amr.battery_init
+        amr_distance = 0.0      # summed per AMR first, as solution_cost sums
         for trip in amr_trips:
             te = evaluate_trip(inst, trip, t, battery, inst.amr.capacity, var)
             per_trip.append(te)
-            total_distance += te.distance
+            amr_distance += te.distance
             tw_violations += te.tw_violations
             flag_failures += (not te.capacity_ok) + (not te.battery_ok)
             t, var = te.timings[-1].arrival.mean, te.timings[-1].arrival.variance
             battery = te.battery_after[-1]
+        total_distance += amr_distance
     m = len(sol.amrs)
     objective = _objective(inst, m, total_distance)
     penalized = objective + inst.cost.tw_penalty * (tw_violations + flag_failures)

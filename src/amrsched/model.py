@@ -175,8 +175,12 @@ class Instance:
             [d * self.amr.consume_rate for d in drow] for drow in self.distance
         ]
         if self.shift_start is None:
-            self.shift_start = default_shift_start(
-                self.requests, self.distance, self.floor_diff, self.amr, st)
+            # Earliest window opening minus the longest depot-to-request
+            # travel mean, clamped to midnight: first arrivals wait at their
+            # windows instead of pinning an arbitrary departure clock time.
+            reach = max([0.0, *self.travel_mean[DEPOT][1:n + 1]])
+            self.shift_start = max(0.0, min(self.window_open[1:n + 1],
+                                            default=0.0) - reach)
         if any(t > DAY for row in self.travel_mean for t in row):
             raise InstanceError("invalid instance: mean travel times "
                                 "(distance / amr.speed + stoch) must be <= 86400 s")
@@ -406,22 +410,6 @@ def _params(data, group: str):
     values = _get(data, group, "", {} if optional else MISSING)
     return cls(**{f.name: _field(values, f.metadata["key"], group, f.default)
                   for f in fields(cls)})
-
-
-def default_shift_start(requests, distance, floor_diff, amr, stoch) -> float:
-    """Earliest window opening minus the longest depot-to-request travel mean,
-    clamped to midnight.  Lets first arrivals wait at their windows instead of
-    pinning an arbitrary departure clock time."""
-    if not requests:
-        return 0.0
-    worst = 0.0
-    for i in range(len(requests)):
-        node = 1 + i
-        mu = distance[DEPOT][node] / amr.speed + stoch.stop_overhead
-        if floor_diff[DEPOT][node]:
-            mu += stoch.floor_time_mean
-        worst = max(worst, mu)
-    return max(0.0, min(r.window_open for r in requests) - worst)
 
 
 # ---------------------------------------------------------------------------

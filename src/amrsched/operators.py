@@ -11,6 +11,7 @@ both ends, none inside), so ``solution_cost`` can skip the structure check.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 
@@ -212,7 +213,8 @@ def depot_insert_repair(inst: Instance, sol: Solution) -> Solution:
             load = inst.amr.capacity
             for node in trip[1:-1]:
                 q = inst.demand[node]
-                if q > load + _LOAD_EPS:
+                # the trip walk's capacity test, so no split trip is flagged
+                if load - q < -_LOAD_EPS:
                     segment.append(DEPOT)
                     trips.append(tuple(segment))
                     segment = [DEPOT]
@@ -307,24 +309,17 @@ def amr_decrease(inst: Instance, sol: Solution) -> Solution:
     stays feasible; repeats greedily.  Each kept merge removes one fixed cost
     while leaving the traversed arcs unchanged."""
     current = sol
-    improved = True
-    while improved and len(current.amrs) > 1:
-        improved = False
-        m = len(current.amrs)
-        for a in range(m):
-            for b in range(m):
-                if a == b:
-                    continue
-                merged = list(current.amrs)
-                merged[a] = merged[a] + merged[b]
-                del merged[b]
-                candidate = Solution(amrs=tuple(merged))
-                if solution_cost(inst, candidate).feasible:
-                    current = candidate
-                    improved = True
-                    break
-            if improved:
+    while len(current.amrs) > 1:
+        for a, b in itertools.permutations(range(len(current.amrs)), 2):
+            merged = list(current.amrs)
+            merged[a] = merged[a] + merged[b]
+            del merged[b]
+            candidate = Solution(amrs=tuple(merged))
+            if solution_cost(inst, candidate).feasible:
+                current = candidate
                 break
+        else:
+            break
     return current
 
 

@@ -136,20 +136,6 @@ class McReport:
     per_request: tuple[RequestStats, ...]
     max_violation: float
 
-    def to_dict(self) -> dict:
-        return {
-            "samples": self.samples,
-            "max_violation": self.max_violation,
-            "per_request": [
-                {
-                    "id": s.id,
-                    "violation_frequency": s.violation_frequency,
-                    "mean_arrival": s.mean_arrival,
-                }
-                for s in self.per_request
-            ],
-        }
-
 
 def mc_validate(inst: Instance, sol: Solution, samples: int,
                 seed: int = 0) -> McReport:

@@ -18,10 +18,9 @@ import random
 
 from .model import DEPOT, Instance, Solution, StructuralError, normalize_solution
 from .evaluation import _LOAD_EPS, _walk_trip, evaluate_solution, solution_cost
-from .operators import (_REPAIR_ROUNDS_PER_REQUEST, amr_decrease,
-                        charging_insert_repair, depot_insert_repair,
-                        relocation_star, shake_2opt_l, shake_cost, swap_star,
-                        two_opt_star)
+from .operators import (amr_decrease, charging_insert_repair,
+                        depot_insert_repair, relocation_star, shake_2opt_l,
+                        shake_cost, swap_star, two_opt_star)
 
 _NEIGHBORHOODS = (swap_star, two_opt_star, relocation_star)
 
@@ -129,32 +128,27 @@ def local_search(inst: Instance, x: Solution, rng: random.Random) -> Solution:
 
 
 def feasible_operation(inst: Instance, x: Solution) -> Solution:
-    """Capacity/battery repair pipeline followed by AMR merging.
+    """One repair pass followed by AMR merging.
 
-    Repairs loop because a depot split changes the distances travelled and
-    therefore the battery plan; chance-constraint violations are left to the
-    penalized search.  A battery profile no charging stop can repair ends the
-    repairs: the plan goes on with its flags, so a search that never clears
-    them returns its least-penalized plan, flagged infeasible.
+    A flagged plan is split at capacity and then given charging stops.  One
+    pass clears every flag: the split applies the trip walk's capacity test
+    and charging stops carry no demand, and the charging repair returns only
+    when the walk's battery test passes everywhere.  A battery profile no
+    charging stop can repair keeps the split plan with its flags, so a search
+    that never clears them returns its least-penalized plan, flagged
+    infeasible.  Chance-constraint violations are left to the penalized
+    search.
     """
-    cs = solution_cost(inst, x)
-    rounds = max(4, _REPAIR_ROUNDS_PER_REQUEST * inst.n_requests)
-    for _ in range(rounds):
-        if cs.flag_failures == 0:
-            break
+    if solution_cost(inst, x).flag_failures:
         x = depot_insert_repair(inst, x)
         try:
             x = charging_insert_repair(inst, x)
         except StructuralError:
-            break
-        cs = solution_cost(inst, x)
-    else:
-        raise StructuralError("repair pipeline did not converge")
+            pass
     return amr_decrease(inst, x)
 
 
-def shaking(inst: Instance, x_l: Solution, rng: random.Random,
-            candidates: int = 20) -> Solution:
+def shaking(inst: Instance, x_l: Solution, rng: random.Random) -> Solution:
     """Best-of-L tail-exchange shake, accepted when its shake cost stays
     under ``cost.shake_delta`` times the current one.
 
@@ -163,7 +157,7 @@ def shaking(inst: Instance, x_l: Solution, rng: random.Random,
     could ever pass a delta gate, and the search would stay locked inside the
     first feasible basin it reaches.
     """
-    x_s = shake_2opt_l(inst, x_l, rng, candidates)
+    x_s = shake_2opt_l(inst, x_l, rng)
     cost_s = shake_cost(inst, solution_cost(inst, x_s))
     cost_l = shake_cost(inst, solution_cost(inst, x_l))
     if cost_s < cost_l * inst.cost.shake_delta:
@@ -172,7 +166,7 @@ def shaking(inst: Instance, x_l: Solution, rng: random.Random,
 
 
 def solve(inst: Instance, max_iterations: int, seed: int = 0,
-          shake_candidates: int = 20, on_iteration=None):
+          on_iteration=None):
     """Run the full VNS loop and return (solution, evaluation, history).
 
     history[i] is the best zero-penalty objective known after iteration i+1
@@ -201,7 +195,7 @@ def solve(inst: Instance, max_iterations: int, seed: int = 0,
             best_objective = cl.objective
         # The delta-accepted shake is the next working solution; the best
         # solution only moves on a strict zero-penalty improvement.
-        x = shaking(inst, x_l, rng, candidates=shake_candidates)
+        x = shaking(inst, x_l, rng)
         cp = solution_cost(inst, x)
         if cp.penalized < least_pen:
             least_pen = cp.penalized

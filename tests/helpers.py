@@ -13,9 +13,8 @@ import numpy as np
 
 from amrsched.model import (AmrParams, CostParams, DEPOT, Gaussian, Instance,
                             Request, Solution, StochasticParams, StructuralError,
-                            default_shift_start, load_instance,
-                            normalize_solution, serialize_instance,
-                            solution_from_ids)
+                            load_instance, normalize_solution,
+                            serialize_instance, solution_from_ids)
 
 # The depot and first 17 customers of Solomon's R101, in its text format.
 SOLOMON_SAMPLE = """\
@@ -107,11 +106,9 @@ def random_instance(rng: random.Random, n_requests: int, *,
                     battery_high=0.8, battery_init=battery_init)
     cost = CostParams(fixed_per_amr=30.0, per_meter=0.01, tw_penalty=1000.0,
                       epsilon=0.05, shake_delta=1.1)
-    stoch = StochasticParams()
-    shift = default_shift_start(requests, distance, floor_diff, amr, stoch)
     return Instance(requests=tuple(requests), depot_floor=0, charging_floors=(0,),
                     distance=distance, floor_diff=floor_diff, amr=amr,
-                    cost=cost, stoch=stoch, shift_start=shift)
+                    cost=cost, stoch=StochasticParams(), shift_start=None)
 
 
 def battery_starved_payload(charger: bool = True) -> dict:
@@ -261,11 +258,10 @@ def sub_instance(inst: Instance, ids: list[int]) -> Instance:
                      for i in keep_nodes)
     floor_diff = tuple(tuple(inst.floor_diff[i][j] for j in keep_nodes)
                        for i in keep_nodes)
-    shift = default_shift_start(requests, distance, floor_diff, inst.amr, inst.stoch)
     return Instance(requests=requests, depot_floor=inst.depot_floor,
                     charging_floors=inst.charging_floors, distance=distance,
                     floor_diff=floor_diff, amr=inst.amr, cost=inst.cost,
-                    stoch=inst.stoch, shift_start=shift)
+                    stoch=inst.stoch, shift_start=None)
 
 
 # ---------------------------------------------------------------------------

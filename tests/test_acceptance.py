@@ -66,7 +66,7 @@ def bench(hospital12, hospital12_path):
     assert hospital12.cost.per_meter == 0.01
     assert hospital12.stoch.sigma0_sq == 4.0 and hospital12.stoch.sigmaf_sq == 16.0
     payload = serialize_instance(hospital12)
-    tasks = [(payload, n, s, 20) for n in N_VALUES for s in SEEDS]
+    tasks = [(payload, n, s) for n in N_VALUES for s in SEEDS]
     t0 = time.perf_counter()
     with Pool(processes=JOBS) as pool:
         rows = pool.map(_bench_task, tasks)

@@ -67,8 +67,12 @@ def test_validate_round_trip(hospital12_path, tmp_path, capsys):
                 "--mc-samples", 5000, "--out", out])
     assert code == 0
     report = json.loads(out.read_text())
+    assert report.keys() == {"samples", "max_violation", "per_request"}
     assert report["samples"] == 5000
     assert report["max_violation"] <= 0.07
+    assert len(report["per_request"]) == 12
+    for stats in report["per_request"]:
+        assert stats.keys() == {"id", "violation_frequency", "mean_arrival"}
 
 
 def test_validate_infeasible_plan_exit_code(hospital12_path, tmp_path, capsys):

@@ -36,8 +36,15 @@ def test_load_hospital12(hospital12):
     r1 = inst.requests[0]
     assert (r1.window_open, r1.window_close) == (29400.0, 30000.0)
     assert r1.demand == 4.0
+
+
+@pytest.mark.parametrize("name, shift", [
+    ("hospital12", 29400 - (150 + 6 + 51.25)),
+    ("hospital64", 37541.75),
+])
+def test_default_shift_start(name, shift, request):
     # defaulted departure: earliest opening minus the longest depot leg
-    assert inst.shift_start == pytest.approx(29400 - (150 + 6 + 51.25))
+    assert request.getfixturevalue(name).shift_start == shift
 
 
 def test_empty_instance_is_valid_and_solves():

@@ -275,6 +275,33 @@ def test_repair_completeness_random_sweep():
     assert repaired_battery > 20  # the sweep actually exercised repairs
 
 
+def test_one_repair_pass_clears_every_flag():
+    """feasible_operation repairs once: after the capacity split, a charging
+    repair that returns leaves no capacity or battery flag.  Half the cases
+    fill trips with fractional demands whose sums land within rounding (or
+    within the load tolerance) of capacity."""
+    rng = random.Random(79)
+    split = charged = 0
+    for case in range(200):
+        inst = random_instance(rng, rng.randint(2, 9), tight_battery=True)
+        if case % 2:
+            share = inst.amr.capacity / rng.choice((3, 6, 7, 10))
+            reqs = tuple(dataclasses.replace(
+                r, demand=share * (1 + rng.choice((-1, 0, 0, 1)) * 1e-11))
+                for r in inst.requests)
+            inst = dataclasses.replace(inst, requests=reqs)
+        sol = random_solution(rng, inst, max_trip=9)
+        out = depot_insert_repair(inst, sol)
+        split += out != sol
+        try:
+            repaired = charging_insert_repair(inst, out)
+        except StructuralError:
+            continue
+        charged += repaired is not out
+        assert solution_cost(inst, repaired).flag_failures == 0
+    assert split > 30 and charged > 60
+
+
 # ---------------------------------------------------------------------------
 # AMR decrease
 

@@ -27,14 +27,11 @@ def test_exact_two_disjoint_tight_windows_need_two_amrs():
     inst = random_instance(rng, 2)
     # identical tight windows, long service: neither sequencing nor trip
     # chaining can serve both with one AMR
-    from amrsched.model import default_shift_start
     reqs = tuple(dataclasses.replace(r, window_open=29400.0,
                                      window_close=29900.0,
                                      service=Gaussian(450.0, 36.0))
                  for r in inst.requests)
-    shift = default_shift_start(reqs, inst.distance, inst.floor_diff,
-                                inst.amr, inst.stoch)
-    inst = dataclasses.replace(inst, requests=reqs, shift_start=shift)
+    inst = dataclasses.replace(inst, requests=reqs, shift_start=None)
     sol, obj = exact_solve(inst)
     assert len(sol.amrs) == 2
     round_trips = 2 * (inst.distance[0][1] + inst.distance[0][2])

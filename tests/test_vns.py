@@ -74,7 +74,7 @@ def test_shaking_delta_rule(hospital12):
     pen_l = shake_cost(inst, solution_cost(inst, x_l))
     # find a seed whose best-of-L shake is strictly worse than the incumbent
     for seed in range(50):
-        x_s = shake_2opt_l(inst, x_l, random.Random(seed), candidates=3)
+        x_s = shake_2opt_l(inst, x_l, random.Random(seed))
         pen_s = shake_cost(inst, solution_cost(inst, x_s))
         if pen_s > pen_l:
             break
@@ -85,10 +85,9 @@ def test_shaking_delta_rule(hospital12):
     def with_delta(delta):
         return dataclasses.replace(inst, cost=dataclasses.replace(
             inst.cost, shake_delta=delta))
-    accept = shaking(with_delta(ratio * 1.01), x_l, random.Random(seed),
-                     candidates=3)
+    accept = shaking(with_delta(ratio * 1.01), x_l, random.Random(seed))
     reject = shaking(with_delta(max(1.0001, ratio * 0.99)), x_l,
-                     random.Random(seed), candidates=3)
+                     random.Random(seed))
     assert accept == x_s
     assert reject == x_l
 
