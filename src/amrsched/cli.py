@@ -179,8 +179,7 @@ def cmd_bench(args) -> int:
     try:
         n_values = [int(tok) for tok in str(args.iterations).split(",") if tok]
     except ValueError:
-        print(f"bad --iterations list: {args.iterations}", file=sys.stderr)
-        return EXIT_ERROR
+        raise ValueError(f"bad --iterations list: {args.iterations}") from None
     seeds = list(range(args.seed, args.seed + args.repeats))
     tasks = [(instance_json, n, s) for n in n_values for s in seeds]
     jobs = min(args.jobs, len(tasks))

@@ -19,6 +19,7 @@ import numbers
 import re
 from dataclasses import MISSING, dataclass, field, fields, replace
 from pathlib import Path
+from statistics import NormalDist
 from typing import Iterable, Sequence
 
 DEPOT = 0
@@ -184,10 +185,7 @@ class Instance:
         if any(t > DAY for row in self.travel_mean for t in row):
             raise InstanceError("invalid instance: mean travel times "
                                 "(distance / amr.speed + stoch) must be <= 86400 s")
-        # local import avoids a cycle: stochastic imports Gaussian from here
-        from .stochastic import normal_quantile
-
-        self.z_quantile = normal_quantile(1.0 - self.cost.epsilon)
+        self.z_quantile = NormalDist().inv_cdf(1.0 - self.cost.epsilon)
         # evaluation.solution_cost memos, keyed by AMR trip prefix and solution
         self._caches = {"amr": {}, "sol": {}}
 
@@ -606,14 +604,18 @@ def _node_from_token(inst: Instance, item) -> int:
 
 
 def check_solution_structure(inst: Instance, sol: Solution) -> None:
-    """Raise StructuralError unless every request appears exactly once and all
-    trips are depot-delimited with no interior depot."""
+    """Raise StructuralError unless every request appears exactly once, all
+    trips are depot-delimited with no interior depot, and every stop is an
+    int node index of the instance."""
     seen = set()
     for amr in sol.amrs:
         for trip in amr:
-            if len(trip) < 2 or trip[0] != DEPOT or trip[-1] != DEPOT:
+            if (len(trip) < 2 or trip[0] != DEPOT or trip[-1] != DEPOT
+                    or type(trip[0]) is not int or type(trip[-1]) is not int):
                 raise StructuralError(f"trip {trip} must start and end at the depot")
             for node in trip[1:-1]:
+                if type(node) is not int or not 0 <= node < inst.n_nodes:
+                    raise StructuralError(f"unknown node index {node!r}")
                 if node == DEPOT:
                     raise StructuralError(f"trip {trip} has an interior depot")
                 if inst.is_request(node):
@@ -621,8 +623,6 @@ def check_solution_structure(inst: Instance, sol: Solution) -> None:
                         raise StructuralError(
                             f"request {inst.requests[node - 1].id} served twice")
                     seen.add(node)
-                elif not inst.is_charging(node):
-                    raise StructuralError(f"unknown node index {node}")
     if len(seen) != inst.n_requests:
         missing = [r.id for i, r in enumerate(inst.requests) if (1 + i) not in seen]
         raise StructuralError(f"requests not served: {missing}")

@@ -19,8 +19,6 @@ from .model import DEPOT, Instance, Solution, StructuralError, normalize_solutio
 from .evaluation import (_BATTERY_EPS, _LOAD_EPS, _amr_cost, _fold, _objective,
                          solution_cost)
 
-_REPAIR_ROUNDS_PER_REQUEST = 2
-
 
 def _to_lists(sol: Solution) -> list[list[list[int]]]:
     return [[list(t) for t in amr] for amr in sol.amrs]
@@ -228,76 +226,75 @@ def depot_insert_repair(inst: Instance, sol: Solution) -> Solution:
 
 
 def charging_insert_repair(inst: Instance, sol: Solution) -> Solution:
-    """Insert the nearest charging station in front of the first node whose
-    arrival battery would undershoot alpha, repeating until the whole chained
-    battery profile stays legal.  A solution that never undershoots comes
-    back unchanged.
+    """Insert the nearest charging station in front of every node whose
+    arrival battery would undershoot alpha, in one forward walk per AMR.  A
+    solution that never undershoots comes back as is; so does the trip tuple
+    of every AMR that never does.
 
     When the battery is already too low at that point for the station itself
     to be reachable, the insertion slot walks backwards along the AMR, no
     further than its last charging stop.  Raises StructuralError when no slot
     works (a leg no full charge covers, or no charging station at all).
     """
-    alpha = inst.amr.battery_low
-    beta = inst.amr.battery_high
-    amrs = sol.amrs
-    for _ in range(max(4, _REPAIR_ROUNDS_PER_REQUEST * inst.n_requests)):
-        for a, amr in enumerate(amrs):
-            hit = _battery_violation(inst, amr)
-            if hit is not None:
-                break
-        else:
-            return sol if amrs is sol.amrs else normalize_solution(amrs)
-        if not inst.charging_nodes:
-            raise StructuralError("battery infeasible and no charging station exists")
-        if amrs is sol.amrs:
-            amrs = _to_lists(sol)
-        t, i, slots = hit
-        for ti, ni, b_prev in reversed(slots):
-            prev = amrs[a][ti][ni - 1]
-            if inst.is_charging(prev):
-                continue
-            station = _nearest_station(inst, prev)
-            at_station = b_prev - inst.drain[prev][station]
-            # the station must be reachable and the charge must change state
-            if at_station >= alpha - _BATTERY_EPS and at_station < beta - _BATTERY_EPS:
-                amrs[a][ti].insert(ni, station)
-                break
-        else:
-            raise StructuralError(
-                "unrepairable battery profile: no charging slot can cover the "
-                f"leg into node {amrs[a][t][i]}")
-    raise StructuralError("charging insertion did not converge")
+    amrs = tuple(_charge_amr(inst, trips) for trips in sol.amrs)
+    if all(new is old for new, old in zip(amrs, sol.amrs)):
+        return sol
+    return Solution(amrs=amrs)
 
 
-def _battery_violation(inst, trips):
-    """First sub-alpha arrival along one AMR's chained trips, else None.
+def _charge_amr(inst, trips):
+    """The charging repair of one AMR's chained trips.
 
-    Returns (trip_index, node_index, slots): slots lists the insertion
-    points since the last charging station up to and including the violating
-    one, as (trip_index, node_index, battery when leaving the preceding node).
-    A charging station tops a battery below beta up to beta, so no station
-    placed before it can raise the battery after it.
+    Slots are the insertion points since the last charging stop, as (trip
+    index, node index, battery when leaving the preceding node); a station
+    tops the battery up to beta, so none placed before it helps after it.
+    After an insertion the walk resumes at the new station from its slot's
+    battery, the floats a rescan from the start would reach.  A slot behind
+    a charging stop is skipped, so each leg takes at most one station.
     """
     alpha = inst.amr.battery_low
     beta = inst.amr.battery_high
     drain = inst.drain
+    work = trips                    # a list of trip lists once a station goes in
     battery = inst.amr.battery_init
     slots = []
-    for t, trip in enumerate(trips):
-        prev = trip[0]
-        for i in range(1, len(trip)):
-            node = trip[i]
-            slots.append((t, i, battery))
-            battery -= drain[prev][node]
-            if battery < alpha - _BATTERY_EPS:
-                return t, i, slots
-            if inst.is_charging(node):
-                if battery < beta - _BATTERY_EPS:
-                    battery = beta
-                slots = []
-            prev = node
-    return None
+    t, i = 0, 1
+    while t < len(work):
+        trip = work[t]
+        if i == len(trip):
+            t, i = t + 1, 1
+            continue
+        prev, node = trip[i - 1], trip[i]
+        slots.append((t, i, battery))
+        battery -= drain[prev][node]
+        if battery < alpha - _BATTERY_EPS:
+            if not inst.charging_nodes:
+                raise StructuralError("battery infeasible and no charging station exists")
+            if work is trips:
+                work = [list(tr) for tr in trips]
+            for k in range(len(slots) - 1, -1, -1):
+                t, i, battery = slots[k]   # on a break the walk resumes here
+                prev = work[t][i - 1]
+                if inst.is_charging(prev):
+                    continue
+                station = _nearest_station(inst, prev)
+                at_station = battery - drain[prev][station]
+                # the station must be reachable and the charge must change state
+                if alpha - _BATTERY_EPS <= at_station < beta - _BATTERY_EPS:
+                    break
+            else:
+                raise StructuralError(
+                    "unrepairable battery profile: no charging slot can cover the "
+                    f"leg into node {node}")
+            work[t].insert(i, station)
+            del slots[k:]
+            continue
+        if inst.is_charging(node):
+            if battery < beta - _BATTERY_EPS:
+                battery = beta
+            slots = []
+        i += 1
+    return trips if work is trips else tuple(map(tuple, work))
 
 
 def _nearest_station(inst, node):

@@ -197,6 +197,7 @@ def test_solve_unrepairable_battery_exit_code(tmp_path, capsys):
 
 @pytest.mark.parametrize("command, payload", [
     ("solve", None),        # --iterations 0: ValueError from solve
+    ("bench", "5,x"),       # --iterations not a list of integers
     ("validate", ""),       # empty file: JSONDecodeError
     ("validate", "{}"),     # no "amrs" key
     ("validate", '{"amrs": [{}]}'),             # AMR without "trips"
@@ -256,6 +257,8 @@ def test_bad_input_is_one_error_line(command, payload, hospital12_path,
     argv = [command, "--instance", hospital12_path]
     if command == "solve":
         argv += ["--iterations", 0]
+    elif command == "bench":
+        argv += ["--iterations", payload]
     else:
         path = tmp_path / "sol.json"
         path.write_text(payload)

@@ -103,6 +103,16 @@ def test_structural_errors_are_not_infeasibility(hospital12):
     missing = Solution(amrs=(good.amrs[0],))
     with pytest.raises(StructuralError, match="not served"):
         evaluate_solution(inst, missing)
+    # a stop index past the last charging station, a non-integer stop and a
+    # trip that starts at 0.0 instead of the depot index
+    first = good.amrs[0][0]
+    for trip, match in (((DEPOT, 99, *first[1:]), "unknown node"),
+                        ((DEPOT, 1.5, *first[1:]), "unknown node"),
+                        ((0.0, *first[1:]), "depot")):
+        stray = Solution(amrs=((trip, *good.amrs[0][1:]), *good.amrs[1:]))
+        for check in (evaluate_solution, lambda i, s: mc_validate(i, s, 10)):
+            with pytest.raises(StructuralError, match=match):
+                check(inst, stray)
 
 
 def test_fast_path_agrees_with_reference():

@@ -255,6 +255,28 @@ def test_charging_insert_stops_at_last_charging_stop():
         charging_insert_repair(inst, sol)
 
 
+def test_charging_insert_has_no_round_budget():
+    """Requests 1 and 2 lie 10 m from the depot and from each other, the
+    station 5 m from every node.  A full battery drives 13.3 m, so each
+    trip needs a station on both sides of its request: the repair places
+    four stations for two requests, with no cap on insertions per plan."""
+    inst = random_instance(random.Random(31), 2)
+    assert inst.charging_nodes == (3,)
+    distance = ((0.0, 10.0, 10.0, 5.0), (10.0, 0.0, 10.0, 5.0),
+                (10.0, 10.0, 0.0, 5.0), (5.0, 5.0, 5.0, 0.0))
+    inst = dataclasses.replace(
+        inst, distance=distance, floor_diff=((0.0,) * 4,) * 4,
+        amr=dataclasses.replace(inst.amr, consume_rate=0.06, charge_rate=0.01,
+                                battery_low=0.0, battery_high=0.8,
+                                battery_init=0.8))
+    sol = solution_from_ids(inst, [[[1], [2]]])
+    out = charging_insert_repair(inst, sol)
+    assert out == solution_from_ids(inst, [[["c", 1, "c"], ["c", 2, "c"]]])
+    cost = solution_cost(inst, out)
+    assert cost.feasible and cost.objective == pytest.approx(30.4)
+    assert charging_insert_repair(inst, out) == out
+
+
 def test_repair_completeness_random_sweep():
     rng = random.Random(77)
     repaired_battery = 0

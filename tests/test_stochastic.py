@@ -2,13 +2,14 @@ import dataclasses
 import math
 import random
 from collections import Counter
+from statistics import NormalDist
 
 import pytest
 
 from amrsched.evaluation import evaluate_solution, evaluate_trip
 from amrsched.model import DEPOT, Gaussian
 from amrsched.operators import charging_insert_repair
-from amrsched.stochastic import (normal_cdf, normal_quantile, truncated_start,
+from amrsched.stochastic import (normal_quantile, truncated_start,
                                  violation_probability)
 from helpers import (mc_truncated_moments, random_instance, random_solution,
                      sub_instance)
@@ -16,7 +17,7 @@ from helpers import (mc_truncated_moments, random_instance, random_solution,
 
 def test_normal_quantile_matches_cdf():
     for p in (0.001, 0.05, 0.3, 0.5, 0.77, 0.95, 0.999):
-        assert normal_cdf(normal_quantile(p)) == pytest.approx(p, abs=1e-12)
+        assert NormalDist().cdf(normal_quantile(p)) == pytest.approx(p, abs=1e-12)
     assert normal_quantile(0.95) == pytest.approx(1.6448536269514722, abs=1e-9)
 
 
