@@ -8,7 +8,11 @@ the load from node to node, and can record the per-node profile as it goes:
   ``TripEvaluation`` profiles (reports, tests, the solver's final answer).
 * ``solution_cost`` is the memoized aggregate the search loop runs millions
   of times; it walks without recording and caches per AMR trip prefix and
-  per solution.
+  per solution.  Given a penalized cost to beat, it walks only until the
+  verdict is certain: the objective is known from distances before any
+  walk, violations only add up along a walk, and a walk stops once they
+  exceed what the price leaves.  A stopped AMR leaves a lower-bound record
+  (distance, violations at least) in a store apart from the exact records.
 
 Trips of one AMR chain at the depot: the next trip starts from the previous
 depot-arrival distribution, mean and variance (the reload is instantaneous
@@ -27,6 +31,8 @@ from .stochastic import _INV_SQRT_2PI, _SQRT2, NodeTiming, violation_probability
 
 _BATTERY_EPS = 1e-12
 _LOAD_EPS = 1e-9
+# Violation counts never reach this, so as a limit it never stops a walk.
+_MAX_COUNT = 1 << 50
 
 
 @dataclass(frozen=True)
@@ -57,7 +63,8 @@ class SolutionEvaluation:
 
 
 def _walk_trip(inst: Instance, trip, t0: float, v0: float, b0: float,
-               load: float, profile: list | None = None):
+               load: float, profile: list | None = None,
+               limit: int = _MAX_COUNT):
     """The trip recurrence every evaluator runs.
 
     Each leg adds its travel mean and variance to the arrival and drains the
@@ -77,6 +84,11 @@ def _walk_trip(inst: Instance, trip, t0: float, v0: float, b0: float,
     nodes).  With a ``profile`` list, one (arrival mean, arrival variance,
     start mean, start variance, departure mean, load, battery) tuple per node
     after the first is appended to it.
+
+    The trip's count (window violations plus its capacity and battery flags)
+    only rises along the walk.  Once it exceeds ``limit`` the walk returns
+    None; the limit is tested at the start and where the count rises, so a
+    negative limit returns None at once.
     """
     tm = inst.travel_mean
     tv = inst.travel_var
@@ -89,8 +101,10 @@ def _walk_trip(inst: Instance, trip, t0: float, v0: float, b0: float,
     dem = inst.demand
     z = inst.z_quantile
     nreq = inst.n_requests
-    alpha = inst.amr.battery_low
     beta = inst.amr.battery_high
+    bat_low = inst.amr.battery_low - _BATTERY_EPS
+    bat_full = beta - _BATTERY_EPS
+    load_low = -_LOAD_EPS
     vq = inst.amr.charge_rate
     sqrt = math.sqrt
     erfc = math.erfc
@@ -104,7 +118,10 @@ def _walk_trip(inst: Instance, trip, t0: float, v0: float, b0: float,
     dist = 0.0
     twv = 0
     cap_bad = False
-    bat_bad = bat < alpha - _BATTERY_EPS
+    bat_bad = bat < bat_low
+    room = limit - bat_bad          # the window violations the limit allows
+    if room < 0:
+        return None
     viol = ()
     prev = trip[0]
     for node in trip[1:]:
@@ -112,13 +129,18 @@ def _walk_trip(inst: Instance, trip, t0: float, v0: float, b0: float,
         bat -= drain[prev][node]
         mean += tm[prev][node]
         var += tv[prev][node]
-        if bat < alpha - _BATTERY_EPS:
+        if bat < bat_low and not bat_bad:
             bat_bad = True
+            room -= 1
+            if twv > room:
+                return None
         if 0 < node <= nreq:
             sigma = sqrt(var)
             if mean + z * sigma > wc[node]:
                 twv += 1
                 viol += (node,)
+                if twv > room:
+                    return None
             e = wo[node]
             if var <= 0.0:
                 start_mean = e if e > mean else mean
@@ -137,8 +159,11 @@ def _walk_trip(inst: Instance, trip, t0: float, v0: float, b0: float,
                     start_var = var
                 start_mean = e + excess
             load -= dem[node]
-            if load < -_LOAD_EPS:
+            if load < load_low and not cap_bad:
                 cap_bad = True
+                room -= 1
+                if twv > room:
+                    return None
             if profile is not None:
                 profile.append((mean, var, start_mean, start_var,
                                 start_mean + sm[node], load, bat))
@@ -146,7 +171,7 @@ def _walk_trip(inst: Instance, trip, t0: float, v0: float, b0: float,
             var = start_var + sv[node]
         else:
             arrival = mean
-            if node != DEPOT and bat < beta - _BATTERY_EPS:
+            if node != DEPOT and bat < bat_full:
                 mean += (beta - bat) / vq
                 bat = beta
             if profile is not None:
@@ -263,6 +288,63 @@ def _amr_cost(inst, trips, caches):
     return hit
 
 
+def _amr_cost_within(inst, trips, caches, limit):
+    """``_amr_cost`` for a caller that needs the record only while the AMR's
+    violations (window violations plus flags) stay within ``limit``.
+
+    The walk stops once they exceed it and returns None.  The stop leaves a
+    lower-bound record (distance, violations at least) in a store of its
+    own, which exact lookups never see; a later call whose limit that record
+    already exceeds returns None at once.  An exact record comes back
+    whatever its count.  The loop is ``_amr_cost``'s with the limit added;
+    the exact callers (``exact_solve`` above all) keep theirs without it.
+    """
+    cache = caches["amr"]
+    hit = cache.get(trips)
+    if hit is not None:
+        return hit
+    bounds = caches["bound"]
+    bound = bounds.get(trips)
+    if bound and bound[1] > limit:
+        return None
+    k = len(trips) - 1
+    while k and (hit := cache.get(trips[:k])) is None:
+        k -= 1
+    if not k:
+        hit = (0.0, 0, 0, 0, (), inst.shift_start, 0.0, inst.amr.battery_init)
+    for k in range(k, len(trips)):
+        dist, twv, cap_n, bat_n, viol, t, var, bat = hit
+        walked = _walk_trip(inst, trips[k], t, var, bat, inst.amr.capacity,
+                            None, limit - twv - cap_n - bat_n)
+        if walked is None:
+            if len(bounds) >= _AMR_CACHE_LIMIT:
+                bounds.clear()
+            d = bound[0] if bound else _amr_distance(inst, trips[k:], dist)
+            bounds[trips] = (d, max(twv + cap_n + bat_n, limit + 1))
+            return None
+        t, var, bat, d, tv_, cap_bad, bat_bad, v = walked
+        hit = (dist + d, twv + tv_, cap_n + cap_bad, bat_n + bat_bad, viol + v,
+               t, var, bat)
+        if len(cache) >= _AMR_CACHE_LIMIT:
+            cache.clear()
+        cache[trips[:k + 1]] = hit
+    return hit
+
+
+def _amr_distance(inst, trips, dist=0.0) -> float:
+    """``dist`` plus the distance of ``trips``, legs and trips summed in the
+    walk's order: the float an AMR record of those trips holds."""
+    dmat = inst.distance
+    for trip in trips:
+        trip_d = 0.0
+        prev = trip[0]
+        for node in trip[1:]:
+            trip_d += dmat[prev][node]
+            prev = node
+        dist += trip_d
+    return dist
+
+
 def _fold(inst, amr_costs) -> CostSummary:
     """Sum per-AMR cost records in AMR order; () marks a removed AMR.
 
@@ -286,9 +368,86 @@ def _fold(inst, amr_costs) -> CostSummary:
                        twv == 0 and flags == 0, m, dist, twv, flags, viol)
 
 
-def solution_cost(inst: Instance, sol: Solution) -> CostSummary:
+def _lower_bound(inst, amrs, costs, caches):
+    """What a plan costs before any walk: (objective, violations at least,
+    {AMR index: its share of that count} for each AMR still to price).
+
+    ``costs`` holds the plan's records in AMR order, () for a removed AMR and
+    None where no exact record is known; ``amrs[i]`` gives the trips of each
+    such AMR i.  Their distances come from lower-bound records, or from the
+    legs, which then go into a record of at least 0 violations.  Distances
+    are summed as ``_fold`` sums them, so the objective is the float the
+    full summary gives.
+    """
+    bounds = caches["bound"]
+    m = 0
+    dist = 0.0
+    known = 0
+    floors = {}
+    for i, cost in enumerate(costs):
+        if cost is None:
+            bound = bounds.get(amrs[i])
+            if bound is None:
+                if len(bounds) >= _AMR_CACHE_LIMIT:
+                    bounds.clear()
+                bound = bounds[amrs[i]] = (_amr_distance(inst, amrs[i]), 0)
+            d, floor = bound
+            floors[i] = floor
+        elif cost:
+            d, floor = cost[0], cost[1] + cost[2] + cost[3]
+        else:
+            continue
+        m += 1
+        dist += d
+        known += floor
+    return _objective(inst, m, dist), known, floors
+
+
+def _violation_budget(objective, rate, below):
+    """The largest violation count v with ``objective + rate * v < below``,
+    the float test the search makes; -1 when no count passes, ``_MAX_COUNT``
+    (no limit) when every count does: a zero rate, or a quotient beyond any
+    count."""
+    if objective + rate * _MAX_COUNT < below:
+        return _MAX_COUNT
+    if not objective < below:
+        return -1
+    # rate > 0 here, and the quotient is off by rounding only: try it and the
+    # next count, then bisect whatever is left
+    v = int(min((below - objective) / rate, _MAX_COUNT - 1))
+    lo, hi = (v, v + 1) if objective + rate * v < below else (0, v)
+    if objective + rate * hi < below:
+        lo, hi = hi, _MAX_COUNT
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if objective + rate * mid < below else (lo, mid)
+    return lo
+
+
+def _price_within(inst, amrs, costs, caches, known, floors, budget):
+    """Fill the None records of ``costs`` (see ``_lower_bound``) by walking
+    each such AMR only as far as the plan's violation count may stay within
+    ``budget``.  Returns the filled list, or None once the count exceeds it.
+    """
+    for i, floor in floors.items():
+        if known > budget:
+            return None
+        cost = _amr_cost_within(inst, amrs[i], caches, budget - known + floor)
+        if cost is None:
+            return None
+        costs[i] = cost
+        known += cost[1] + cost[2] + cost[3] - floor
+    return costs if known <= budget else None
+
+
+def solution_cost(inst: Instance, sol: Solution,
+                  below: float = math.inf) -> CostSummary | None:
     """Memoized aggregate cost of a solution; same numbers as
     evaluate_solution but without per-node profiles.
+
+    With a finite ``below`` the result is None exactly when the penalized
+    cost is ``>= below``, and the AMRs are walked only until that is
+    certain; a summary is memoized only once it is complete.
 
     The solution must be structurally valid (see check_solution_structure);
     this is not checked.  The search only builds such solutions, and plans
@@ -296,15 +455,28 @@ def solution_cost(inst: Instance, sol: Solution) -> CostSummary:
     """
     caches = inst._caches
     cache = caches["sol"]
-    hit = cache.get(sol.amrs)
-    if hit is not None:
-        return hit
-    # Price every AMR before summing: summing as each AMR is priced raised
-    # the peak RSS of an oracle-verify benchmark run from 74 to 81 MiB.
-    result = _fold(inst, [_amr_cost(inst, trips, caches) for trips in sol.amrs])
-    if len(cache) >= _SOL_CACHE_LIMIT:
-        cache.clear()
-    cache[sol.amrs] = result
+    result = cache.get(sol.amrs)
+    if result is None:
+        if below < math.inf:
+            costs = [caches["amr"].get(trips) for trips in sol.amrs]
+            if None in costs:
+                objective, known, floors = _lower_bound(inst, sol.amrs, costs, caches)
+                budget = _violation_budget(objective, inst.cost.tw_penalty, below)
+                costs = _price_within(inst, sol.amrs, costs, caches, known,
+                                      floors, budget)
+                if costs is None:
+                    return None
+        else:
+            # Price every AMR before summing: summing as each AMR is priced
+            # raised the peak RSS of an oracle-verify benchmark run from 74
+            # to 81 MiB.
+            costs = [_amr_cost(inst, trips, caches) for trips in sol.amrs]
+        result = _fold(inst, costs)
+        if len(cache) >= _SOL_CACHE_LIMIT:
+            cache.clear()
+        cache[sol.amrs] = result
+    if below < math.inf and result.penalized >= below:
+        return None
     return result
 
 

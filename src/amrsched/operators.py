@@ -16,8 +16,8 @@ import math
 import random
 
 from .model import DEPOT, Instance, Solution, StructuralError, normalize_solution
-from .evaluation import (_BATTERY_EPS, _LOAD_EPS, _amr_cost, _fold, _objective,
-                         solution_cost)
+from .evaluation import (_BATTERY_EPS, _LOAD_EPS, _amr_cost, _amr_cost_within,
+                         _fold, _lower_bound, _price_within, _violation_budget)
 
 
 def _to_lists(sol: Solution) -> list[list[list[int]]]:
@@ -304,17 +304,28 @@ def _nearest_station(inst, node):
 def amr_decrease(inst: Instance, sol: Solution) -> Solution:
     """Append one AMR's trip list onto another whenever the merged solution
     stays feasible; repeats greedily.  Each kept merge removes one fixed cost
-    while leaving the traversed arcs unchanged."""
+    while leaving the traversed arcs unchanged.
+
+    A merge of b onto a is feasible when every other AMR is clean and the
+    merged AMR is.  Its walk starts with a's, so a flagged a (like a flagged
+    third AMR) fails it without a walk; the merged AMR is priced with a
+    violation budget of 0, so its walk stops at the first violation.
+    """
+    caches = inst._caches
     current = sol
     while len(current.amrs) > 1:
-        for a, b in itertools.permutations(range(len(current.amrs)), 2):
-            merged = list(current.amrs)
-            merged[a] = merged[a] + merged[b]
-            del merged[b]
-            candidate = Solution(amrs=tuple(merged))
-            if solution_cost(inst, candidate).feasible:
-                current = candidate
-                break
+        amrs = current.amrs
+        flagged = {i for i, trips in enumerate(amrs)
+                   if any(_amr_cost(inst, trips, caches)[1:4])}
+        for a, b in itertools.permutations(range(len(amrs)), 2):
+            if flagged <= {b}:
+                cost = _amr_cost_within(inst, amrs[a] + amrs[b], caches, 0)
+                if cost is not None and not any(cost[1:4]):
+                    merged = list(amrs)
+                    merged[a] += amrs[b]
+                    del merged[b]
+                    current = Solution(amrs=tuple(merged))
+                    break
         else:
             break
     return current
@@ -347,16 +358,19 @@ def shake_2opt_l(inst: Instance, sol: Solution, rng: random.Random,
     A candidate changes one or two AMRs, so it is scored from the incumbent's
     per-AMR costs with only the changed AMRs re-priced, and only the winner
     is built.  Candidates whose changed AMRs are all cached are scored at
-    once.  The rest are priced in ascending order of their objective
-    xi1*m + xi2*distance, until that lower bound cannot beat the best score
-    found: the shake cost adds xi1 (>= 0 on every Instance) times a
-    violation count to the very same float.
+    once.  The rest get a lower key first: their exact objective xi1*m +
+    xi2*distance plus xi1 (>= 0 on every Instance) times the violations
+    already known, from exact or lower-bound records.  A lower key that
+    cannot beat the best score so far drops the candidate; the others are
+    priced in ascending key order until none can win, each walk stopping
+    once its violations leave the budget the best score allows.
     """
     flat = [(a, t) for a, amr in enumerate(sol.amrs) for t in range(len(amr))]
     if not flat:
         return sol
     caches = inst._caches
     amr_cache = caches["amr"]
+    rate = inst.cost.fixed_per_amr
     base = [_amr_cost(inst, trips, caches) for trips in sol.amrs]
 
     # The incumbent itself is not part of the generated neighborhood: the best
@@ -364,7 +378,7 @@ def shake_2opt_l(inst: Instance, sol: Solution, rng: random.Random,
     # whether the perturbation is kept.
     best = (math.inf, -1)       # (score, draw index) of the winner so far
     winner = None
-    bounded = []
+    queued = []
     for k in range(candidates):
         change = _shake_candidate(sol, flat, rng)
         if change is None:
@@ -373,19 +387,26 @@ def shake_2opt_l(inst: Instance, sol: Solution, rng: random.Random,
         for a, trips in change:
             amr_costs[a] = amr_cache.get(trips) if trips else ()
         if None in amr_costs:
-            bounded.append((_objective_bound(inst, base, change), k, change))
+            objective, known, floors = _lower_bound(inst, dict(change), amr_costs,
+                                                    caches)
+            low = (objective + rate * known, k)
+            if low < best:
+                queued.append((low, objective, known, floors, change, amr_costs))
             continue
         key = (shake_cost(inst, _fold(inst, amr_costs)), k)
         if key < best:
             best, winner = key, change
-    bounded.sort()
-    for bound, k, change in bounded:
-        if (bound, k) >= best:
+    queued.sort(key=lambda entry: entry[0])
+    for low, objective, known, floors, change, amr_costs in queued:
+        if low >= best:
             break
-        amr_costs = base.copy()
-        for a, trips in change:
-            amr_costs[a] = _amr_cost(inst, trips, caches) if trips else ()
-        key = (shake_cost(inst, _fold(inst, amr_costs)), k)
+        # an earlier draw also wins a tie: the score may equal the best
+        below = best[0] if low[1] > best[1] else math.nextafter(best[0], math.inf)
+        amr_costs = _price_within(inst, dict(change), amr_costs, caches, known,
+                                  floors, _violation_budget(objective, rate, below))
+        if amr_costs is None:
+            continue
+        key = (shake_cost(inst, _fold(inst, amr_costs)), low[1])
         if key < best:
             best, winner = key, change
     if winner is None:
@@ -450,30 +471,3 @@ def _with_trip(trips, t, trip):
     if len(trip) > 2:
         return trips[:t] + (trip,) + trips[t + 1:]
     return trips[:t] + trips[t + 1:]
-
-
-def _objective_bound(inst, base, change):
-    """Objective xi1*m + xi2*distance of a shake candidate, from the
-    incumbent's per-AMR costs and the changed AMRs' legs.  Legs, trips and
-    AMRs are summed in the order the trip recurrence and the cost aggregate
-    sum them, so this is the float a full score of the candidate starts from.
-    """
-    dmat = inst.distance
-    amr_dist = [cost[0] for cost in base]
-    for a, trips in change:
-        d = 0.0
-        for trip in trips:
-            trip_d = 0.0
-            prev = trip[0]
-            for node in trip[1:]:
-                trip_d += dmat[prev][node]
-                prev = node
-            d += trip_d
-        amr_dist[a] = d if trips else None
-    m = 0
-    dist = 0.0
-    for d in amr_dist:
-        if d is not None:
-            m += 1
-            dist += d
-    return _objective(inst, m, dist)

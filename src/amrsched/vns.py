@@ -112,14 +112,16 @@ def local_search(inst: Instance, x: Solution, rng: random.Random) -> Solution:
     """Variable neighborhood descent over swap*, 2-opt*, relocation*.
 
     Each accepted move (strictly smaller penalized cost) resets to the first
-    neighborhood; three consecutive failures end the descent.
+    neighborhood; three consecutive failures end the descent.  A candidate is
+    priced only until its penalized cost is certain to reach the incumbent's
+    (``solution_cost``'s ``below``), so most rejections stop early.
     """
     cx = solution_cost(inst, x)
     k = 1
     while k <= len(_NEIGHBORHOODS):
         candidate = _NEIGHBORHOODS[k - 1](inst, x, cx, rng)
-        cc = solution_cost(inst, candidate)
-        if cc.penalized < cx.penalized:
+        cc = solution_cost(inst, candidate, cx.penalized)
+        if cc is not None:
             x, cx = candidate, cc
             k = 1
         else:

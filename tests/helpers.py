@@ -188,6 +188,47 @@ def reference_shake(inst: Instance, sol: Solution, rng: random.Random,
     return (best if best is not None else sol), built
 
 
+def reference_descent(inst: Instance, x: Solution, rng: random.Random) -> Solution:
+    """vns.local_search with every candidate priced in full: the descent
+    the bounded pricing must reproduce."""
+    from amrsched.evaluation import solution_cost
+    from amrsched.vns import _NEIGHBORHOODS
+
+    cx = solution_cost(inst, x)
+    k = 1
+    while k <= len(_NEIGHBORHOODS):
+        candidate = _NEIGHBORHOODS[k - 1](inst, x, cx, rng)
+        cc = solution_cost(inst, candidate)
+        if cc.penalized < cx.penalized:
+            x, cx = candidate, cc
+            k = 1
+        else:
+            k += 1
+    return x
+
+
+def reference_merge(inst: Instance, sol: Solution) -> Solution:
+    """operators.amr_decrease with every merged plan priced in full: keep
+    the first merge, in permutation order, whose plan is feasible."""
+    from itertools import permutations
+
+    from amrsched.evaluation import solution_cost
+
+    current = sol
+    while len(current.amrs) > 1:
+        for a, b in permutations(range(len(current.amrs)), 2):
+            merged = list(current.amrs)
+            merged[a] = merged[a] + merged[b]
+            del merged[b]
+            candidate = Solution(amrs=tuple(merged))
+            if solution_cost(inst, candidate).feasible:
+                current = candidate
+                break
+        else:
+            break
+    return current
+
+
 def brute_force_objective(inst: Instance) -> float:
     """Cheapest feasible objective over every plan, with no pruning: each
     partition of the requests into AMRs, each day of every part (request

@@ -1,6 +1,8 @@
 import dataclasses
+import itertools
 import math
 import random
+from collections import Counter
 
 import pytest
 
@@ -148,6 +150,64 @@ def test_fast_path_agrees_with_reference():
                         assert battery == end.battery_after[-1]
                         assert (t, var) == (end.timings[-1].arrival.mean,
                                             end.timings[-1].arrival.variance)
+
+
+def test_bounded_pricing_is_exact():
+    """solution_cost(below=t) is None exactly when the full penalized cost
+    is >= t, and otherwise the full summary, for t one ulp below, at and one
+    ulp above it, with xi1 and xi3 at 0, 1e-300 and 1e300.  The lower-bound
+    records the bounded calls leave never change an unbounded summary."""
+    rng = random.Random(12)
+    rates = (0.0, 1e-300, 1e300)
+    outcomes = Counter()
+    for case in range(16):
+        base = random_instance(rng, rng.randint(2, 8), tight_battery=case % 2 == 1)
+        sols = [random_solution(rng, base) for _ in range(3)]
+        if case % 2:
+            sols += [charging_insert_repair(base, s) for s in sols]    # stations
+        # plans sharing an AMR, or the first AMR as a prefix
+        sols += [Solution(amrs=(s.amrs[0] + s.amrs[1], *s.amrs[2:]))
+                 for s in sols if len(s.amrs) > 1]
+        for xi1, xi3 in itertools.product(rates, rates):
+            inst = dataclasses.replace(base, cost=dataclasses.replace(
+                base.cost, fixed_per_amr=xi1, tw_penalty=xi3))
+            full = [solution_cost(dataclasses.replace(inst), s) for s in sols]
+            calls = [(sol, summary, t) for sol, summary in zip(sols, full)
+                     for t in (math.nextafter(summary.penalized, -math.inf),
+                               summary.penalized,
+                               math.nextafter(summary.penalized, math.inf))]
+            rng.shuffle(calls)
+            for sol, summary, t in calls:
+                got = solution_cost(inst, sol, below=t)
+                assert (got is None) == (summary.penalized >= t)
+                if got is not None:
+                    assert got == summary
+                outcomes[got is None, not summary.feasible] += 1
+            outcomes["bound records"] += len(inst._caches["bound"])
+            inst._caches["sol"].clear()
+            assert [solution_cost(inst, s) for s in sols] == full
+    assert len(outcomes) == 5 and all(outcomes.values()), outcomes
+
+
+def test_violation_budget_is_the_largest_passing_count():
+    """The budget is the largest count v with objective + rate * v < below,
+    also where rounding puts it far from the quotient (1e16 + 0.001 * v
+    rounds back to 1e16 up to v = 1000), and no limit when every count
+    passes."""
+    from amrsched.evaluation import _MAX_COUNT, _violation_budget
+
+    for objective, rate in itertools.product((0.0, 71.9, 1e16, 1e300),
+                                             (0.0, 1e-300, 1e-3, 0.9, 1000.0, 1e300)):
+        for below in {objective, math.nextafter(objective, math.inf),
+                      objective + 2.0, objective + rate * 7, objective + rate * 2999,
+                      math.nextafter(objective + rate * 7, -math.inf)}:
+            budget = _violation_budget(objective, rate, below)
+            if budget == _MAX_COUNT:
+                assert objective + rate * _MAX_COUNT < below
+                continue
+            passing = [v for v in range(-1, 3001)
+                       if v < 0 or objective + rate * v < below]
+            assert budget == passing[-1] < 3000, (objective, rate, below)
 
 
 def test_charging_rule_shared_by_profile_and_summary(hospital12):

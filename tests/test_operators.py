@@ -13,9 +13,9 @@ from amrsched.operators import (amr_decrease, charging_insert_repair,
                                 depot_insert_repair, relocation_star,
                                 shake_2opt_l, shake_cost, swap_star,
                                 two_opt_star)
-from amrsched.vns import feasible_operation, greedy_initial
+from amrsched.vns import feasible_operation, greedy_initial, local_search
 from helpers import (paper_optimum, random_instance, random_solution,
-                     reference_shake)
+                     reference_descent, reference_merge, reference_shake)
 
 
 def request_multiset(inst, sol):
@@ -368,6 +368,27 @@ def test_amr_decrease_keeps_unmergeable():
     assert amr_decrease(inst, sol) == sol
 
 
+def test_amr_decrease_merge_can_clear_the_appended_flag():
+    """A flagged AMR b may still merge behind a clean one: starting from a's
+    charged depot arrival instead of a low initial battery, b's walk can stay
+    above alpha.  Only a flag on a (the merged walk's prefix) or on a third
+    AMR settles a merge without a walk."""
+    merged = 0
+    for seed in range(40):
+        inst = random_instance(random.Random(seed), 2, tight_battery=True)
+        inst = dataclasses.replace(inst, amr=dataclasses.replace(
+            inst.amr, battery_init=0.3, charge_rate=1.0))
+        a = ((DEPOT, inst.charging_nodes[0], 1, DEPOT),)
+        b = ((DEPOT, 2, DEPOT),)
+        if (solution_cost(inst, Solution(amrs=(a,))).feasible
+                and solution_cost(inst, Solution(amrs=(b,))).flag_failures
+                and solution_cost(inst, Solution(amrs=(a + b,))).feasible):
+            assert amr_decrease(dataclasses.replace(inst),
+                                Solution(amrs=(a, b))) == Solution(amrs=(a + b,))
+            merged += 1
+    assert merged
+
+
 def test_amr_decrease_objective_never_increases():
     rng = random.Random(4)
     for _ in range(25):
@@ -453,9 +474,10 @@ def test_shake_picks_minimum_of_its_candidates(hospital12_path, hospital64_path)
 
 
 def test_memos_capped_at_three_change_no_cost_and_no_shake(monkeypatch):
-    """With each memo capped at three records the caches clear on nearly
-    every store, also between the prefixes of one AMR's walk; no cost
-    summary and no shake pick may change."""
+    """With each memo, the lower-bound store included, capped at three
+    records the caches clear on nearly every store, also between the
+    prefixes of one AMR's walk; no cost summary, shake pick, descent or
+    merge may change from its full-pricing reference."""
     rng = random.Random(31)
     cases = []
     for case in range(20):
@@ -465,7 +487,7 @@ def test_memos_capped_at_three_change_no_cost_and_no_shake(monkeypatch):
         cases.append((inst, sols, [solution_cost(inst, s) for s in sols]))
     monkeypatch.setattr(evaluation, "_AMR_CACHE_LIMIT", 3)
     monkeypatch.setattr(evaluation, "_SOL_CACHE_LIMIT", 3)
-    longest = 0
+    longest = merges = bounds = 0
     for inst, sols, expected in cases:
         inst = dataclasses.replace(inst)    # the same instance, empty memos
         for sol, summary in zip(sols, expected):
@@ -476,8 +498,18 @@ def test_memos_capped_at_three_change_no_cost_and_no_shake(monkeypatch):
                 assert picked == ref
                 assert solution_cost(inst, picked) == solution_cost(
                     dataclasses.replace(inst), picked)
+                assert local_search(inst, sol, random.Random(seed)) == \
+                    reference_descent(dataclasses.replace(inst), sol,
+                                      random.Random(seed))
+                bounds += bool(inst._caches["bound"])
+            repaired = charging_insert_repair(inst, depot_insert_repair(inst, sol))
+            for plan in (sol, repaired):
+                merged = amr_decrease(inst, plan)
+                assert merged == reference_merge(dataclasses.replace(inst), plan)
+                merges += len(merged.amrs) < len(plan.amrs)
             assert solution_cost(inst, sol) == summary
     assert longest > 3      # some walk stores more prefixes than the cap
+    assert merges and bounds    # merges are kept and walks are stopped
 
 
 def _enumerate_all_tail_exchanges(inst, sol):
