@@ -183,7 +183,8 @@ def test_bounded_pricing_is_exact():
                 if got is not None:
                     assert got == summary
                 outcomes[got is None, not summary.feasible] += 1
-            outcomes["bound records"] += len(inst._caches["bound"])
+            outcomes["stopped walks"] += sum(
+                v > 0 for _, v in inst._caches["bound"].values())
             inst._caches["sol"].clear()
             assert [solution_cost(inst, s) for s in sols] == full
     assert len(outcomes) == 5 and all(outcomes.values()), outcomes

@@ -501,7 +501,7 @@ def test_memos_capped_at_three_change_no_cost_and_no_shake(monkeypatch):
                 assert local_search(inst, sol, random.Random(seed)) == \
                     reference_descent(dataclasses.replace(inst), sol,
                                       random.Random(seed))
-                bounds += bool(inst._caches["bound"])
+                bounds += any(v for _, v in inst._caches["bound"].values())
             repaired = charging_insert_repair(inst, depot_insert_repair(inst, sol))
             for plan in (sol, repaired):
                 merged = amr_decrease(inst, plan)
