@@ -13,7 +13,6 @@ import json
 import math
 import sys
 import time
-from multiprocessing import Pool
 from pathlib import Path
 
 from .evaluation import evaluate_solution, route_table, solution_to_dict
@@ -184,6 +183,7 @@ def cmd_bench(args) -> int:
     tasks = [(instance_json, n, s) for n in n_values for s in seeds]
     jobs = min(args.jobs, len(tasks))
     if jobs > 1:
+        from multiprocessing import Pool  # here, so that other commands start without it
         with Pool(processes=jobs) as pool:
             rows = pool.map(_bench_task, tasks)
     else:

@@ -26,10 +26,11 @@ def _to_lists(sol: Solution) -> list[list[list[int]]]:
 
 def _request_positions(inst: Instance, amrs) -> list[tuple[int, int, int]]:
     out = []
+    n = inst.n_requests
     for a, amr in enumerate(amrs):
         for t, trip in enumerate(amr):
             for i, node in enumerate(trip):
-                if inst.is_request(node):
+                if 1 <= node <= n:
                     out.append((a, t, i))
     return out
 
@@ -88,8 +89,9 @@ def _loosest_partner(inst, lists, home, v_node, h_v):
     va, vt = home
     trip = lists[va][vt]
     v_pos = trip.index(v_node)
+    n = inst.n_requests
     for i, node in enumerate(trip[:v_pos]):
-        if inst.is_request(node) and inst.window_close[node] > h_v:
+        if 1 <= node <= n and inst.window_close[node] > h_v:
             return va, vt, i
     best = None
     best_key = None
@@ -98,7 +100,7 @@ def _loosest_partner(inst, lists, home, v_node, h_v):
             if a == va and t == vt:
                 continue
             for i, node in enumerate(other):
-                if not inst.is_request(node):
+                if not 1 <= node <= n:
                     continue
                 h = inst.window_close[node]
                 if h <= h_v:
@@ -124,16 +126,17 @@ def two_opt_star(inst: Instance, sol: Solution, evaluation,
         a, t, i, j = run
         lists[a][t][i:j + 1] = reversed(lists[a][t][i:j + 1])
         return normalize_solution(lists)
+    n = inst.n_requests
     eligible = [
         (a, t)
         for a, amr in enumerate(lists)
         for t, trip in enumerate(amr)
-        if sum(1 for n in trip if inst.is_request(n)) >= 2
+        if sum(1 for node in trip if 1 <= node <= n) >= 2
     ]
     if not eligible:
         return sol
     a, t = eligible[rng.randrange(len(eligible))]
-    idxs = [i for i, n in enumerate(lists[a][t]) if inst.is_request(n)]
+    idxs = [i for i, node in enumerate(lists[a][t]) if 1 <= node <= n]
     i, j = sorted(rng.sample(idxs, 2))
     lists[a][t][i:j + 1] = reversed(lists[a][t][i:j + 1])
     return normalize_solution(lists)
@@ -142,9 +145,10 @@ def two_opt_star(inst: Instance, sol: Solution, evaluation,
 def _decreasing_run(inst, lists):
     """First maximal same-trip request run with strictly decreasing window
     close, as (amr, trip, first_index, last_index); None when absent."""
+    n = inst.n_requests
     for a, amr in enumerate(lists):
         for t, trip in enumerate(amr):
-            idxs = [i for i, n in enumerate(trip) if inst.is_request(n)]
+            idxs = [i for i, node in enumerate(trip) if 1 <= node <= n]
             run_start = 0
             for k in range(1, len(idxs) + 1):
                 ended = k == len(idxs) or not (

@@ -92,12 +92,18 @@ def test_criterion_01_table6(bench):
     assert elapsed < 60.0
 
 
-@criterion(2, "§ optimum certificate: listed routes evaluate to 71.9, feasible")
+@criterion(2, "§ optimum certificate: listed routes evaluate to 71.9, feasible, "
+              "and exact_solve proves 71.9 optimal")
 def test_criterion_02_optimum_certificate(hospital12):
     ev = evaluate_solution(hospital12, paper_optimum(hospital12))
     assert abs(ev.objective - 71.9) <= 1e-9
     assert ev.feasible is True
     assert ev.amr_count == 2 and abs(ev.total_distance - 1190.0) <= 1e-9
+    sol, objective = exact_solve(hospital12)
+    assert abs(objective - 71.9) <= 1e-9
+    exact = evaluate_solution(hospital12, sol)
+    assert exact.feasible is True and exact.amr_count == 2
+    assert exact.objective == objective
 
 
 @criterion(3, "oracle equivalence on 50 random instances (<=6 requests)")

@@ -1,11 +1,15 @@
 import json
 import math
+import multiprocessing
+import os
 import re
+import subprocess
+import sys
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
-from amrsched import cli
 from amrsched.cli import main
 from amrsched.evaluation import evaluate_solution
 from amrsched.model import (PARAM_GROUPS, InstanceError, load_instance,
@@ -161,7 +165,7 @@ def test_bench_starts_no_more_workers_than_tasks(hospital12_path, tmp_path,
         def map(self, fn, tasks):
             return [fn(task) for task in tasks]
 
-    monkeypatch.setattr(cli, "Pool", SerialPool)
+    monkeypatch.setattr(multiprocessing, "Pool", SerialPool)
     for repeats, workers in ((2, [2]), (1, [])):
         started.clear()
         out = tmp_path / f"bench{repeats}.csv"
@@ -170,6 +174,30 @@ def test_bench_starts_no_more_workers_than_tasks(hospital12_path, tmp_path,
         assert code == 0
         assert started == workers
         assert len(out.read_text().splitlines()) == 1 + repeats
+
+
+_COLD_START = """
+import sys
+import amrsched, amrsched.cli
+amrsched.cli.main(["solve", "--instance", sys.argv[1], "--iterations", "5"])
+print(sorted({"numpy", "multiprocessing"} & set(sys.modules)))
+inst = amrsched.load_instance(sys.argv[1])
+report = amrsched.mc_validate(inst, amrsched.solve(inst, 5)[0], 100)
+print(report.samples, len(report.per_request))
+"""
+
+
+def test_cold_start_loads_neither_numpy_nor_multiprocessing(hospital12_path):
+    """`import amrsched` and `solve` start without numpy and multiprocessing;
+    mc_validate imports numpy when called.  A fresh interpreter, because
+    tests/helpers.py imports numpy into this one."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run([sys.executable, "-c", _COLD_START, str(hospital12_path)],
+                          env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True,
+                          text=True, timeout=120, check=True)
+    *_table, loaded, report = proc.stdout.splitlines()
+    assert loaded == "[]"
+    assert report == "100 12"
 
 
 def test_solve_with_overrides(hospital12_path, capsys, tmp_path):

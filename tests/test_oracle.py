@@ -57,9 +57,9 @@ def test_exact_never_above_heuristic():
             assert exact_obj <= ev.objective + 1e-9
 
 
-def test_exact_refuses_oversize(hospital12):
-    with pytest.raises(ValueError, match="refuses 10 requests"):
-        exact_solve(sub_instance(hospital12, list(range(1, 11))))
+def test_exact_refuses_oversize(hospital64):
+    with pytest.raises(ValueError, match="refuses 13 requests"):
+        exact_solve(sub_instance(hospital64, list(range(1, 14))))
 
 
 def test_exact_matches_brute_force():
