@@ -7,12 +7,12 @@ the load from node to node, and can record the per-node profile as it goes:
 * ``evaluate_trip`` / ``evaluate_solution`` record it and return full
   ``TripEvaluation`` profiles (reports, tests, the solver's final answer).
 * ``solution_cost`` is the memoized aggregate the search loop runs millions
-  of times; it walks without recording and caches per AMR trip prefix and
-  per solution.  Given a penalized cost to beat, it walks only until the
-  verdict is certain: the objective is known from distances before any
-  walk, violations only add up along a walk, and a walk stops once they
-  exceed what the price leaves.  A stopped AMR leaves a lower-bound record
-  (distance, violations at least) in a store apart from the exact records.
+  of times; it caches per solution, and one memo walk, ``_amr_cost``, per
+  AMR trip prefix.  Without a penalized cost to beat it prices in full;
+  given one, it walks only until the verdict is certain: the objective is
+  known from distances, violations only add up along a walk, and a walk
+  stops once they exceed what the price leaves.  A stopped AMR leaves a
+  lower-bound record (distance, violations at least) in a store of its own.
 
 Trips of one AMR chain at the depot: the next trip starts from the previous
 depot-arrival distribution, mean and variance (the reload is instantaneous
@@ -260,51 +260,34 @@ _AMR_CACHE_LIMIT = 1 << 17
 _SOL_CACHE_LIMIT = 1 << 16
 
 
-def _amr_cost(inst, trips, caches):
+def _put(store, key, value, cap):
+    """Store and return ``value``, first clearing a store of ``cap`` records."""
+    if len(store) >= cap:
+        store.clear()
+    store[key] = value
+    return value
+
+
+def _amr_cost(inst, trips, caches, limit=_MAX_COUNT):
     """Cost record of one AMR's chained trips: (distance, window violations,
     capacity flags, battery flags, violating nodes, depot arrival mean,
     depot arrival variance, battery).  The memo holds one record per trip
     prefix; a walk resumes from the longest cached prefix and stores every
     prefix it completes.
+
+    With a ``limit`` the walk returns None once the AMR's violations (window
+    violations plus flags) exceed it, leaving a lower-bound record (distance,
+    violations at least) in a store of its own; a later call whose limit
+    that record exceeds returns None at once.  An exact record comes back
+    whatever its count.
     """
     cache = caches["amr"]
     hit = cache.get(trips)
     if hit is not None:
         return hit
-    k = len(trips) - 1
-    while k and (hit := cache.get(trips[:k])) is None:
-        k -= 1
-    if not k:
-        hit = (0.0, 0, 0, 0, (), inst.shift_start, 0.0, inst.amr.battery_init)
-    for k in range(k, len(trips)):
-        dist, twv, cap_n, bat_n, viol, t, var, bat = hit
-        t, var, bat, d, tv_, cap_bad, bat_bad, v = _walk_trip(
-            inst, trips[k], t, var, bat, inst.amr.capacity)
-        hit = (dist + d, twv + tv_, cap_n + cap_bad, bat_n + bat_bad, viol + v,
-               t, var, bat)
-        if len(cache) >= _AMR_CACHE_LIMIT:
-            cache.clear()
-        cache[trips[:k + 1]] = hit
-    return hit
-
-
-def _amr_cost_within(inst, trips, caches, limit):
-    """``_amr_cost`` for a caller that needs the record only while the AMR's
-    violations (window violations plus flags) stay within ``limit``.
-
-    The walk stops once they exceed it and returns None.  The stop leaves a
-    lower-bound record (distance, violations at least) in a store of its
-    own, which exact lookups never see; a later call whose limit that record
-    already exceeds returns None at once.  An exact record comes back
-    whatever its count.  The loop is ``_amr_cost``'s with the limit added;
-    the exact callers (``exact_solve`` above all) keep theirs without it.
-    """
-    cache = caches["amr"]
-    hit = cache.get(trips)
-    if hit is not None:
-        return hit
-    bounds = caches["bound"]
-    bound = bounds.get(trips)
+    # No record can exceed a call without a limit, so only a call with one
+    # reads the lower-bound store.
+    bound = caches["bound"].get(trips) if limit < _MAX_COUNT else None
     if bound and bound[1] > limit:
         return None
     k = len(trips) - 1
@@ -317,17 +300,14 @@ def _amr_cost_within(inst, trips, caches, limit):
         walked = _walk_trip(inst, trips[k], t, var, bat, inst.amr.capacity,
                             None, limit - twv - cap_n - bat_n)
         if walked is None:
-            if len(bounds) >= _AMR_CACHE_LIMIT:
-                bounds.clear()
             d = bound[0] if bound else _amr_distance(inst, trips[k:], dist)
-            bounds[trips] = (d, max(twv + cap_n + bat_n, limit + 1))
+            _put(caches["bound"], trips, (d, max(twv + cap_n + bat_n, limit + 1)),
+                 _AMR_CACHE_LIMIT)
             return None
         t, var, bat, d, tv_, cap_bad, bat_bad, v = walked
-        hit = (dist + d, twv + tv_, cap_n + cap_bad, bat_n + bat_bad, viol + v,
-               t, var, bat)
-        if len(cache) >= _AMR_CACHE_LIMIT:
-            cache.clear()
-        cache[trips[:k + 1]] = hit
+        hit = _put(cache, trips[:k + 1],
+                   (dist + d, twv + tv_, cap_n + cap_bad, bat_n + bat_bad, viol + v,
+                    t, var, bat), _AMR_CACHE_LIMIT)
     return hit
 
 
@@ -369,8 +349,9 @@ def _fold(inst, amr_costs) -> CostSummary:
 
 
 def _lower_bound(inst, amrs, costs, caches):
-    """What a plan costs before any walk: (objective, violations at least,
-    {AMR index: its share of that count} for each AMR still to price).
+    """What a plan costs before any walk, where every pricing starts:
+    (objective, violations at least, {AMR index: its share of that count}
+    for each AMR still to price).
 
     ``costs`` holds the plan's records in AMR order, () for a removed AMR and
     None where no exact record is known; ``amrs[i]`` gives the trips of each
@@ -388,9 +369,8 @@ def _lower_bound(inst, amrs, costs, caches):
         if cost is None:
             bound = bounds.get(amrs[i])
             if bound is None:
-                if len(bounds) >= _AMR_CACHE_LIMIT:
-                    bounds.clear()
-                bound = bounds[amrs[i]] = (_amr_distance(inst, amrs[i]), 0)
+                bound = _put(bounds, amrs[i], (_amr_distance(inst, amrs[i]), 0),
+                             _AMR_CACHE_LIMIT)
             d, floor = bound
             floors[i] = floor
         elif cost:
@@ -406,9 +386,9 @@ def _lower_bound(inst, amrs, costs, caches):
 def _violation_budget(objective, rate, below):
     """The largest violation count v with ``objective + rate * v < below``,
     the float test the search makes; -1 when no count passes, ``_MAX_COUNT``
-    (no limit) when every count does: a zero rate, or a quotient beyond any
-    count."""
-    if objective + rate * _MAX_COUNT < below:
+    (no limit) when every count does: no ``below``, a zero rate, or a
+    quotient beyond any count."""
+    if below is None or objective + rate * _MAX_COUNT < below:
         return _MAX_COUNT
     if not objective < below:
         return -1
@@ -424,15 +404,16 @@ def _violation_budget(objective, rate, below):
     return lo
 
 
-def _price_within(inst, amrs, costs, caches, known, floors, budget):
-    """Fill the None records of ``costs`` (see ``_lower_bound``) by walking
-    each such AMR only as far as the plan's violation count may stay within
-    ``budget``.  Returns the filled list, or None once the count exceeds it.
-    """
+def _price_within(inst, amrs, costs, caches, known, floors, objective, rate, below):
+    """Fill the None records of ``costs`` (see ``_lower_bound``), walking each
+    such AMR only while ``objective + rate * violations`` may stay under
+    ``below`` (no limit when None).  Returns the filled list, or None once
+    the plan's penalized cost is certain to reach ``below``."""
+    budget = _violation_budget(objective, rate, below)
     for i, floor in floors.items():
         if known > budget:
             return None
-        cost = _amr_cost_within(inst, amrs[i], caches, budget - known + floor)
+        cost = _amr_cost(inst, amrs[i], caches, budget - known + floor)
         if cost is None:
             return None
         costs[i] = cost
@@ -441,13 +422,14 @@ def _price_within(inst, amrs, costs, caches, known, floors, budget):
 
 
 def solution_cost(inst: Instance, sol: Solution,
-                  below: float = math.inf) -> CostSummary | None:
+                  below: float | None = None) -> CostSummary | None:
     """Memoized aggregate cost of a solution; same numbers as
     evaluate_solution but without per-node profiles.
 
-    With a finite ``below`` the result is None exactly when the penalized
-    cost is ``>= below``, and the AMRs are walked only until that is
-    certain; a summary is memoized only once it is complete.
+    Without ``below`` it prices in full.  With a number, ``inf`` included,
+    the result is None exactly when the penalized cost is ``>= below``, and
+    AMRs are walked only until that is certain; only complete summaries are
+    memoized.
 
     The solution must be structurally valid (see check_solution_structure);
     this is not checked.  The search only builds such solutions, and plans
@@ -457,25 +439,17 @@ def solution_cost(inst: Instance, sol: Solution,
     cache = caches["sol"]
     result = cache.get(sol.amrs)
     if result is None:
-        if below < math.inf:
-            costs = [caches["amr"].get(trips) for trips in sol.amrs]
-            if None in costs:
-                objective, known, floors = _lower_bound(inst, sol.amrs, costs, caches)
-                budget = _violation_budget(objective, inst.cost.tw_penalty, below)
-                costs = _price_within(inst, sol.amrs, costs, caches, known,
-                                      floors, budget)
-                if costs is None:
-                    return None
-        else:
-            # Price every AMR before summing: summing as each AMR is priced
-            # raised the peak RSS of an oracle-verify benchmark run from 74
-            # to 81 MiB.
-            costs = [_amr_cost(inst, trips, caches) for trips in sol.amrs]
-        result = _fold(inst, costs)
-        if len(cache) >= _SOL_CACHE_LIMIT:
-            cache.clear()
-        cache[sol.amrs] = result
-    if below < math.inf and result.penalized >= below:
+        # Price every AMR before summing: summing as each AMR was priced
+        # raised an oracle-verify benchmark run's peak RSS from 74 to 81 MiB.
+        costs = [caches["amr"].get(trips) for trips in sol.amrs]
+        if None in costs:
+            objective, known, floors = _lower_bound(inst, sol.amrs, costs, caches)
+            costs = _price_within(inst, sol.amrs, costs, caches, known, floors,
+                                  objective, inst.cost.tw_penalty, below)
+            if costs is None:
+                return None
+        result = _put(cache, sol.amrs, _fold(inst, costs), _SOL_CACHE_LIMIT)
+    if below is not None and result.penalized >= below:
         return None
     return result
 
@@ -511,11 +485,9 @@ def solution_to_dict(inst: Instance, sol: Solution,
 
 def _per_request_stats(inst, sol, evaluation):
     stats = []
-    idx = 0
+    per_trip = iter(evaluation.per_trip)    # AMR-major, as the loops run
     for amr in sol.amrs:
-        for trip in amr:
-            te = evaluation.per_trip[idx]
-            idx += 1
+        for trip, te in zip(amr, per_trip):
             for node, timing in zip(trip, te.timings):
                 if inst.is_request(node):
                     req = inst.request_at(node)
@@ -539,11 +511,9 @@ def route_table(inst: Instance, sol: Solution,
     header = ("AMR No. | Service Route | Distance (m) | Load (kg) | "
               "Number of Charges | Mean Arrival Time of Requests")
     lines = [header]
-    idx = 0
+    per_trip = iter(evaluation.per_trip)    # AMR-major, as the loops run
     for amr_no, amr in enumerate(sol.amrs, start=1):
-        for trip in amr:
-            te = evaluation.per_trip[idx]
-            idx += 1
+        for trip, te in zip(amr, per_trip):
             route = " -> ".join(inst.node_label(n) for n in trip)
             load = sum(inst.demand[n] for n in trip if inst.is_request(n))
             charges = sum(1 for n in trip if inst.is_charging(n))

@@ -16,8 +16,8 @@ import math
 import random
 
 from .model import DEPOT, Instance, Solution, StructuralError, normalize_solution
-from .evaluation import (_BATTERY_EPS, _LOAD_EPS, _amr_cost, _amr_cost_within,
-                         _fold, _lower_bound, _price_within, _violation_budget)
+from .evaluation import (_BATTERY_EPS, _LOAD_EPS, _amr_cost, _fold, _lower_bound,
+                         _price_within)
 
 
 def _to_lists(sol: Solution) -> list[list[list[int]]]:
@@ -312,8 +312,8 @@ def amr_decrease(inst: Instance, sol: Solution) -> Solution:
 
     A merge of b onto a is feasible when every other AMR is clean and the
     merged AMR is.  Its walk starts with a's, so a flagged a (like a flagged
-    third AMR) fails it without a walk; the merged AMR is priced with a
-    violation budget of 0, so its walk stops at the first violation.
+    third AMR) fails it without a walk; ``_amr_cost`` prices the merged AMR
+    with a violation limit of 0, so its walk stops at the first violation.
     """
     caches = inst._caches
     current = sol
@@ -323,7 +323,7 @@ def amr_decrease(inst: Instance, sol: Solution) -> Solution:
                    if any(_amr_cost(inst, trips, caches)[1:4])}
         for a, b in itertools.permutations(range(len(amrs)), 2):
             if flagged <= {b}:
-                cost = _amr_cost_within(inst, amrs[a] + amrs[b], caches, 0)
+                cost = _amr_cost(inst, amrs[a] + amrs[b], caches, 0)
                 if cost is not None and not any(cost[1:4]):
                     merged = list(amrs)
                     merged[a] += amrs[b]
@@ -407,7 +407,7 @@ def shake_2opt_l(inst: Instance, sol: Solution, rng: random.Random,
         # an earlier draw also wins a tie: the score may equal the best
         below = best[0] if low[1] > best[1] else math.nextafter(best[0], math.inf)
         amr_costs = _price_within(inst, dict(change), amr_costs, caches, known,
-                                  floors, _violation_budget(objective, rate, below))
+                                  floors, objective, rate, below)
         if amr_costs is None:
             continue
         key = (shake_cost(inst, _fold(inst, amr_costs)), low[1])

@@ -114,7 +114,8 @@ def local_search(inst: Instance, x: Solution, rng: random.Random) -> Solution:
     Each accepted move (strictly smaller penalized cost) resets to the first
     neighborhood; three consecutive failures end the descent.  A candidate is
     priced only until its penalized cost is certain to reach the incumbent's
-    (``solution_cost``'s ``below``), so most rejections stop early.
+    (``solution_cost``'s ``below``, which an incumbent of inf also sets), so
+    most rejections stop early.
     """
     cx = solution_cost(inst, x)
     k = 1

@@ -212,6 +212,19 @@ def test_solve_with_overrides(hospital12_path, capsys, tmp_path):
         50 * payload["m"] + 0.01 * payload["distance"])
 
 
+def test_solve_ends_when_the_penalized_cost_overflows(hospital12_path):
+    """With xi1 = 1e308 two AMRs cost inf; the descent must still end, since
+    a candidate that also prices inf is no improvement.  A subprocess, so a
+    descent that never ends fails on the timeout instead of hanging."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-m", "amrsched.cli", "solve", "--instance",
+         str(hospital12_path), "--xi1", "1e308", "--iterations", "3"],
+        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True,
+        text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_solve_unrepairable_battery_exit_code(tmp_path, capsys):
     """No charging stop can save the battery: exit 2 (infeasible) with one
     stderr line, not a traceback or exit 1."""

@@ -155,10 +155,12 @@ def test_fast_path_agrees_with_reference():
 def test_bounded_pricing_is_exact():
     """solution_cost(below=t) is None exactly when the full penalized cost
     is >= t, and otherwise the full summary, for t one ulp below, at and one
-    ulp above it, with xi1 and xi3 at 0, 1e-300 and 1e300.  The lower-bound
-    records the bounded calls leave never change an unbounded summary."""
+    ulp above it, with xi1 and xi3 at 0, 1e-300, 1e300 and 1e308 (where the
+    penalized cost overflows to inf, which a bound of inf rejects).  The
+    lower-bound records the bounded calls leave never change an unbounded
+    summary."""
     rng = random.Random(12)
-    rates = (0.0, 1e-300, 1e300)
+    rates = (0.0, 1e-300, 1e300, 1e308)
     outcomes = Counter()
     for case in range(16):
         base = random_instance(rng, rng.randint(2, 8), tight_battery=case % 2 == 1)
