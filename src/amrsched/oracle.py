@@ -65,14 +65,14 @@ def exact_solve(inst: Instance):
     stack = [(((DEPOT, r, DEPOT),), bit[r], demand[r]) for r in range(n, 0, -1)]
     while stack:
         day, mask, load = stack.pop()
-        record = _amr_cost(inst, day, caches)
+        priced = record = _amr_cost(inst, day, caches)
         plan = day
         if record[3]:
             try:
                 plan = charging_insert_repair(inst, Solution(amrs=(day,))).amrs[0]
+                priced = _amr_cost(inst, plan, caches)
             except StructuralError:
-                plan = None
-        priced = plan and _amr_cost(inst, plan, caches)
+                plan = priced = None
         if priced and not any(priced[1:4]):
             cost = _objective(inst, 1, priced[0])
             if cost < best_day.get(mask, (math.inf,))[0]:
