@@ -1,13 +1,15 @@
 import dataclasses
+import itertools
 import math
 import random
 
 import pytest
 
 from amrsched.model import DEPOT, Gaussian, Solution, solution_from_ids
-from amrsched.evaluation import _walk_trip, evaluate_solution, solution_cost
-from amrsched.oracle import (NoFeasibleSolution, _growth_prunes_sound,
-                             exact_solve, mc_validate)
+from amrsched.evaluation import (_amr_cost, _walk_trip, evaluate_solution,
+                                 solution_cost)
+from amrsched.oracle import (NoFeasibleSolution, _battery_never_binds,
+                             _growth_prunes_sound, exact_solve, mc_validate)
 from amrsched.vns import solve
 from helpers import (brute_force_objective, paper_optimum, random_instance,
                      sub_instance)
@@ -47,10 +49,13 @@ def test_exact_matches_vns_on_hospital_subset(hospital12):
     assert obj == pytest.approx(vns_best, abs=1e-9)
 
 
-def test_exact_never_above_heuristic():
+def test_exact_never_above_heuristic(hospital64):
+    """On random instances and on an 8-request hospital64 subset, whose
+    loose windows let nearly every ordered day through the order prunes."""
     rng = random.Random(123)
-    for _ in range(8):
-        inst = random_instance(rng, rng.randint(2, 5))
+    insts = [random_instance(rng, rng.randint(2, 5)) for _ in range(8)]
+    insts.append(sub_instance(hospital64, random.Random(5).sample(range(1, 65), 8)))
+    for inst in insts:
         exact_obj = exact_solve(inst)[1]
         _, ev, _ = solve(inst, 150, seed=0)
         if ev.feasible:
@@ -64,7 +69,9 @@ def test_exact_refuses_oversize(hospital64):
 
 def test_exact_matches_brute_force():
     """Against a reference with no pruning, on plain and tight-battery
-    instances, and at epsilon = 0.6, where the growth prunes are off."""
+    instances, and at epsilon = 0.6, where the growth prunes are off.  Label
+    dominance is on for the plain cases at epsilon 0.05, and for a lone
+    request, whose two legs no battery here fails to cover."""
     rng = random.Random(11)
     charged = 0
     for case in range(32):
@@ -77,6 +84,8 @@ def test_exact_matches_brute_force():
             inst = dataclasses.replace(
                 inst, cost=dataclasses.replace(inst.cost, epsilon=0.6))
         assert _growth_prunes_sound(inst) == (case % 8 < 4)
+        assert (_growth_prunes_sound(inst) and _battery_never_binds(inst)) == (
+            case % 8 < 4 and (case % 2 == 1 or inst.n_requests == 1)), case
         sol, obj = exact_solve(inst)
         assert obj == pytest.approx(brute_force_objective(inst), abs=1e-9), case
         charged += any(inst.is_charging(n) for trip in sol.trips() for n in trip)
@@ -124,14 +133,82 @@ def test_exact_stays_exact_where_a_charger_detour_is_a_shortcut():
 
 def test_growth_prune_premises_hold(hospital12, hospital64):
     """exact_solve prunes only where no detour through a charging station
-    arrives earlier, in mean or in variance, than the direct leg: true of
-    the shipped instances and of criterion 3's generator, so the tests and
-    the benchmark run the pruned search."""
+    arrives earlier, in mean or in variance, than the direct leg, and drops
+    dominated days only where, besides, no day can drain the battery below
+    alpha: true of hospital12, of the hospital64 subsets exact_solve accepts
+    and of criterion 3's generator, so the tests and the benchmark run the
+    pruned search.  Full hospital64 has too many requests for the battery
+    premise."""
     rng = random.Random(2024)
-    insts = [hospital12, hospital64] + [
+    ids = list(range(1, 65))
+    subsets = [sub_instance(hospital64, rng.sample(ids, 12)) for _ in range(5)]
+    insts = [hospital12, *subsets] + [
         random_instance(rng, rng.randint(2, 6), tight_windows=case % 2 == 0)
         for case in range(20)]
+    assert _growth_prunes_sound(hospital64)
     assert all(_growth_prunes_sound(inst) for inst in insts)
+    assert all(_battery_never_binds(inst) for inst in insts)
+    assert not _battery_never_binds(hospital64)
+
+
+def test_dominated_day_never_extends_better():
+    """The premise of label dominance: where day A has the same requests and
+    the same last request as day B, and no larger open-trip load, depot
+    arrival mean, depot arrival variance or distance, every extension of B
+    that is feasible is feasible on A, and no shorter there."""
+    rng = random.Random(41)
+    pairs = 0
+    for case in range(200):
+        inst = random_instance(rng, rng.randint(4, 6), tight_windows=case % 2 == 0)
+        assert _growth_prunes_sound(inst) and _battery_never_binds(inst)
+        caches = inst._caches
+        served = rng.sample(range(1, inst.n_requests + 1), rng.randint(2, 3))
+        rest = [r for r in range(1, inst.n_requests + 1) if r not in served]
+        days = []
+        for _ in range(20):
+            days.append(_random_day(rng, inst, rng.sample(served, len(served))))
+        for a, b in itertools.permutations(set(days), 2):
+            if a[0][-1][-2] != b[0][-1][-2]:
+                continue
+            ra = _amr_cost(inst, a[0], caches)
+            rb = _amr_cost(inst, b[0], caches)
+            if not (a[1] <= b[1] and ra[5] <= rb[5] and ra[6] <= rb[6]
+                    and ra[0] <= rb[0]):
+                continue
+            pairs += 1
+            for _ in range(3):
+                ext = rng.sample(rest, rng.randint(1, len(rest)))
+                opens = [rng.random() < 0.5 for _ in ext]
+                ea = _amr_cost(inst, _extend(a[0], ext, opens), caches)
+                eb = _amr_cost(inst, _extend(b[0], ext, opens), caches)
+                if not any(eb[1:4]):
+                    assert not any(ea[1:4]), (case, a, b, ext, opens)
+                assert ea[0] <= eb[0] + 1e-9, (case, a, b, ext, opens)
+    assert pairs >= 500
+
+
+def _random_day(rng, inst, order):
+    """A day serving ``order`` in that order, with random trip breaks, and
+    its open trip's load."""
+    trips = [[order[0]]]
+    for r in order[1:]:
+        if rng.random() < 0.5:
+            trips.append([r])
+        else:
+            trips[-1].append(r)
+    day = tuple((DEPOT, *trip, DEPOT) for trip in trips)
+    return day, sum(inst.demand[r] for r in trips[-1])
+
+
+def _extend(day, ext, opens):
+    """``day`` grown by each request of ``ext`` in turn: a new trip where
+    ``opens`` says so, else appended to the open trip."""
+    for r, new in zip(ext, opens):
+        if new:
+            day += ((DEPOT, r, DEPOT),)
+        else:
+            day = day[:-1] + (day[-1][:-1] + (r, DEPOT),)
+    return day
 
 
 def test_later_or_wider_start_never_ends_earlier_or_narrower():
@@ -169,6 +246,18 @@ def test_exact_reports_infeasible():
     inst = dataclasses.replace(inst, requests=reqs, shift_start=50_000.0)
     with pytest.raises(NoFeasibleSolution):
         exact_solve(inst)
+
+
+def test_exact_returns_a_plan_whose_objective_overflows(hospital12):
+    """At xi1 = 1e308 every one-AMR day is finite, but the two-AMR optimum of
+    these requests sums to inf: still a feasible plan, not "no plan"."""
+    sub = sub_instance(hospital12, [1, 2, 3, 4])
+    sub = dataclasses.replace(sub, cost=dataclasses.replace(sub.cost,
+                                                            fixed_per_amr=1e308))
+    sol, obj = exact_solve(sub)
+    cost = solution_cost(sub, sol)
+    assert obj == math.inf and cost.objective == obj
+    assert cost.feasible and len(sol.amrs) == 2
 
 
 def test_exact_empty_instance():
