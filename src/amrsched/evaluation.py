@@ -294,21 +294,33 @@ def _amr_cost(inst, trips, caches, limit=_MAX_COUNT):
     while k and (hit := cache.get(trips[:k])) is None:
         k -= 1
     if not k:
-        hit = (0.0, 0, 0, 0, (), inst.shift_start, 0.0, inst.amr.battery_init)
+        hit = _start_record(inst)
     for k in range(k, len(trips)):
-        dist, twv, cap_n, bat_n, viol, t, var, bat = hit
-        walked = _walk_trip(inst, trips[k], t, var, bat, inst.amr.capacity,
-                            None, limit - twv - cap_n - bat_n)
-        if walked is None:
-            d = bound[0] if bound else _amr_distance(inst, trips[k:], dist)
-            _put(caches["bound"], trips, (d, max(twv + cap_n + bat_n, limit + 1)),
+        record = _extend(inst, hit, trips[k], limit)
+        if record is None:
+            d = bound[0] if bound else _amr_distance(inst, trips[k:], hit[0])
+            _put(caches["bound"], trips, (d, max(sum(hit[1:4]), limit + 1)),
                  _AMR_CACHE_LIMIT)
             return None
-        t, var, bat, d, tv_, cap_bad, bat_bad, v = walked
-        hit = _put(cache, trips[:k + 1],
-                   (dist + d, twv + tv_, cap_n + cap_bad, bat_n + bat_bad, viol + v,
-                    t, var, bat), _AMR_CACHE_LIMIT)
+        hit = _put(cache, trips[:k + 1], record, _AMR_CACHE_LIMIT)
     return hit
+
+
+def _start_record(inst):
+    return (0.0, 0, 0, 0, (), inst.shift_start, 0.0, inst.amr.battery_init)
+
+
+def _extend(inst, record, trip, limit=_MAX_COUNT):
+    """The cost record (see ``_amr_cost``) of an AMR with ``record`` that then
+    drives ``trip``; None once its violations exceed ``limit``."""
+    dist, twv, cap_n, bat_n, viol, t, var, bat = record
+    walked = _walk_trip(inst, trip, t, var, bat, inst.amr.capacity, None,
+                        limit - twv - cap_n - bat_n)
+    if walked is None:
+        return None
+    t, var, bat, d, tv_, cap_bad, bat_bad, v = walked
+    return (dist + d, twv + tv_, cap_n + cap_bad, bat_n + bat_bad, viol + v,
+            t, var, bat)
 
 
 def _amr_distance(inst, trips, dist=0.0) -> float:

@@ -361,13 +361,12 @@ def shake_2opt_l(inst: Instance, sol: Solution, rng: random.Random,
 
     A candidate changes one or two AMRs, so it is scored from the incumbent's
     per-AMR costs with only the changed AMRs re-priced, and only the winner
-    is built.  Candidates whose changed AMRs are all cached are scored at
-    once.  The rest get a lower key first: their exact objective xi1*m +
-    xi2*distance plus xi1 (>= 0 on every Instance) times the violations
-    already known, from exact or lower-bound records.  A lower key that
-    cannot beat the best score so far drops the candidate; the others are
-    priced in ascending key order until none can win, each walk stopping
-    once its violations leave the budget the best score allows.
+    is built.  Every candidate gets a lower key first: its exact objective
+    xi1*m + xi2*distance plus xi1 (>= 0 on every Instance) times the
+    violations already known, from exact or lower-bound records; where its
+    changed AMRs are all cached, that is its score.  Candidates are priced
+    in ascending key order until none can win, each walk stopping once its
+    violations leave the budget the best score allows.
     """
     flat = [(a, t) for a, amr in enumerate(sol.amrs) for t in range(len(amr))]
     if not flat:
@@ -390,16 +389,9 @@ def shake_2opt_l(inst: Instance, sol: Solution, rng: random.Random,
         amr_costs = base.copy()
         for a, trips in change:
             amr_costs[a] = amr_cache.get(trips) if trips else ()
-        if None in amr_costs:
-            objective, known, floors = _lower_bound(inst, dict(change), amr_costs,
-                                                    caches)
-            low = (objective + rate * known, k)
-            if low < best:
-                queued.append((low, objective, known, floors, change, amr_costs))
-            continue
-        key = (shake_cost(inst, _fold(inst, amr_costs)), k)
-        if key < best:
-            best, winner = key, change
+        objective, known, floors = _lower_bound(inst, dict(change), amr_costs, caches)
+        queued.append(((objective + rate * known, k), objective, known, floors, change,
+                       amr_costs))
     queued.sort(key=lambda entry: entry[0])
     for low, objective, known, floors, change, amr_costs in queued:
         if low >= best:

@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial, reduce
 
 from .model import DEPOT, Instance, Solution, StructuralError, check_solution_structure
-from .evaluation import (_BATTERY_EPS, _LOAD_EPS, _amr_cost, _objective,
-                         solution_cost)
+from .evaluation import (_BATTERY_EPS, _LOAD_EPS, _extend, _objective, _start_record,
+                         evaluate_solution)
 from .operators import charging_insert_repair
 
 _EXACT_HARD_LIMIT = 12
@@ -33,9 +34,10 @@ def exact_solve(inst: Instance):
     ordered trips one AMR drives; Azi, Gendreau & Potvin, 2010).  Days are
     built in layers by request count: each day of a layer grows by
     appending an unserved request to its open trip (capacity permitting) or
-    by opening a new trip with it, so each day is built once.  It is priced
-    by the AMR prefix memo, which walks only its last trip, and after the
-    canonical charging repair when its record shows a battery flag.
+    by opening a new trip with it, so each day is built once.  A day carries
+    the cost record of its closed trips and is priced by walking its open
+    trip from it, or after the canonical charging repair when that walk shows
+    a battery flag; the search's memos are neither read nor written.
 
     When ``_growth_prunes_sound`` holds, two provably late growths are
     skipped: a request ``r`` after one whose window opens after ``r``'s
@@ -63,7 +65,6 @@ def exact_solve(inst: Instance):
     n = inst.n_requests
     if n > _EXACT_HARD_LIMIT:
         raise ValueError(f"exact_solve refuses {n} requests (limit {_EXACT_HARD_LIMIT})")
-    caches = inst._caches
     prune = _growth_prunes_sound(inst)
     dominance = prune and _battery_never_binds(inst)
     demand = inst.demand
@@ -75,22 +76,21 @@ def exact_solve(inst: Instance):
                for r in range(n + 1)]
 
     best_day = {}   # request bitmask -> (objective, cheapest feasible day)
-    # A layer, and the days of it that may grow, are held as flat lists of
-    # days, request masks and open-trip loads, so that no per-day container
-    # outlives the layer for the cyclic garbage collector to scan.
-    days = [((DEPOT, r, DEPOT),) for r in range(1, n + 1)]
-    masks = bit[1:]
-    loads = demand[1:n + 1]
-    while days:
-        grow_days, grow_masks, grow_loads = [], [], []
-        labels = {}     # (mask, last request) -> [(load, mean, var, distance, day)]
-        for day, mask, load in zip(days, masks, loads):
-            priced = record = _amr_cost(inst, day, caches)
+    start = _start_record(inst)
+    # a layer: (day, request mask, open-trip load, record of its closed trips)
+    layer = [(((DEPOT, r, DEPOT),), bit[r], demand[r], start) for r in range(1, n + 1)]
+    while layer:
+        # the days that may grow, as (load, mean, var, distance, day, mask,
+        # base, record), by (mask, last request) where dominance holds; else
+        # each alone, so that none is compared and they grow in layer order
+        labels = {}
+        for day, mask, load, base in layer:
+            priced = record = _extend(inst, base, day[-1])
             plan = day
             if record[3]:
                 try:
                     plan = charging_insert_repair(inst, Solution(amrs=(day,))).amrs[0]
-                    priced = _amr_cost(inst, plan, caches)
+                    priced = reduce(partial(_extend, inst), plan, start)
                 except StructuralError:
                     plan = priced = None
             if priced and not any(priced[1:4]):
@@ -99,48 +99,34 @@ def exact_solve(inst: Instance):
                     best_day[mask] = (cost, plan)
             if prune and record[1]:
                 continue
-            if not dominance:
-                grow_days.append(day)
-                grow_masks.append(mask)
-                grow_loads.append(load)
-                continue
             dist, mean, var = record[0], record[5], record[6]
-            kept = labels.setdefault((mask, day[-1][-2]), [])
+            kept = labels.setdefault((mask, day[-1][-2]) if dominance else len(labels), [])
             for a in kept:
                 if a[0] <= load and a[1] <= mean and a[2] <= var and a[3] <= dist:
                     break
             else:
                 kept[:] = [b for b in kept if not (load <= b[0] and mean <= b[1]
                                                    and var <= b[2] and dist <= b[3])]
-                kept.append((load, mean, var, dist, day))
-        for (mask, _), kept in labels.items():
-            for load, _, _, _, day in kept:
-                grow_days.append(day)
-                grow_masks.append(mask)
-                grow_loads.append(load)
-        days, masks, loads = [], [], []
-        for day, mask, load in zip(grow_days, grow_masks, grow_loads):
+                kept.append((load, mean, var, dist, day, mask, base, record))
+        layer = []
+        for load, _, _, _, day, mask, base, record in (
+                label for kept in labels.values() for label in kept):
             for r in range(1, n + 1):
                 if mask & (bit[r] | blocked[r]):
                     continue
-                days.append(day + ((DEPOT, r, DEPOT),))
-                masks.append(mask | bit[r])
-                loads.append(demand[r])
+                layer.append((day + ((DEPOT, r, DEPOT),), mask | bit[r], demand[r], record))
                 if load + demand[r] <= capacity:
-                    days.append(day[:-1] + (day[-1][:-1] + (r, DEPOT),))
-                    masks.append(mask | bit[r])
-                    loads.append(load + demand[r])
+                    layer.append((day[:-1] + (day[-1][:-1] + (r, DEPOT),), mask | bit[r],
+                                  load + demand[r], base))
 
     # best[mask]: (objective, AMRs, day holding mask's lowest request) of the
     # cheapest cover of mask, the fewest AMRs first among equal objectives
     # (a sum can overflow to inf); None when no plan covers mask
     best = [(0.0, 0, 0)]
     for mask in range(1, 1 << n):
-        low = mask & -mask
-        best.append(min(((cost + rest[0], rest[1] + 1, part)
-                          for part, (cost, _) in best_day.items()
-                          if part & low and part & mask == part
-                          and (rest := best[mask ^ part])),
+        best.append(min(((best_day[part][0] + rest[0], rest[1] + 1, part)
+                          for part in _parts(mask)
+                          if part in best_day and (rest := best[mask ^ part])),
                          default=None))
     if best[-1] is None:
         raise NoFeasibleSolution("no feasible plan exists for this instance")
@@ -151,7 +137,17 @@ def exact_solve(inst: Instance):
         amrs.append(best_day[part][1])
         mask ^= part
     sol = Solution(amrs=tuple(amrs))
-    return sol, solution_cost(inst, sol).objective
+    return sol, evaluate_solution(inst, sol).objective
+
+
+def _parts(mask):
+    """The submasks of ``mask`` that hold its lowest request."""
+    low = mask & -mask
+    rest = sub = mask ^ low
+    yield mask
+    while sub:
+        sub = (sub - 1) & rest
+        yield sub | low
 
 
 def _growth_prunes_sound(inst: Instance) -> bool:

@@ -25,7 +25,7 @@ from .operators import (amr_decrease, charging_insert_repair,
 _NEIGHBORHOODS = (swap_star, two_opt_star, relocation_star)
 
 
-def greedy_initial(inst: Instance, rng: random.Random | None = None) -> Solution:
+def greedy_initial(inst: Instance, rng: random.Random) -> Solution:
     """Nearest-feasible-insertion construction.
 
     Grows one trip at a time: repeatedly take the unserved request closest to
@@ -36,9 +36,8 @@ def greedy_initial(inst: Instance, rng: random.Random | None = None) -> Solution
     feasibility pipeline deals with it afterwards).  Each trip starts on its
     own provisional AMR; merging is the AMR-decrease operator's job.
 
-    With an rng the two nearest candidates trade places on a coin flip, so
-    different seeds start the search from different constructions; without
-    one the build is the deterministic nearest-first variant.
+    The two nearest candidates trade places on a coin flip of ``rng``, so
+    different seeds start the search from different constructions.
     """
     unserved = set(range(1, inst.n_requests + 1))
     trips: list[tuple[int, ...]] = []
@@ -54,7 +53,7 @@ def greedy_initial(inst: Instance, rng: random.Random | None = None) -> Solution
         last = next((n for n in reversed(body) if not inst.is_charging(n)), DEPOT)
         load = sum(inst.demand[n] for n in body)
         order = sorted(unserved, key=lambda r: (inst.distance[last][r], r))
-        if rng is not None and len(order) >= 2 and rng.random() < 0.5:
+        if len(order) >= 2 and rng.random() < 0.5:
             order[0], order[1] = order[1], order[0]
         placed = False
         for r in order:

@@ -76,6 +76,7 @@ def bench(hospital12, hospital12_path):
 
 @criterion(1, "Table-6 reproduction: best-of-10 f(4000)=71.90, f(1000)<=72.30, "
               "nonincreasing in N, under 60 s")
+@pytest.mark.slow
 def test_criterion_01_table6(bench):
     rows, elapsed = bench
     best = {}
@@ -107,6 +108,7 @@ def test_criterion_02_optimum_certificate(hospital12):
 
 
 @criterion(3, "oracle equivalence on 50 random instances (<=6 requests)")
+@pytest.mark.slow
 def test_criterion_03_oracle_equivalence():
     rng = random.Random(2024)
     t0 = time.perf_counter()
@@ -231,6 +233,7 @@ def test_criterion_07_repair_completeness():
 
 
 @criterion(8, "variance scaling trend: m nondecreasing in n, f=71.9 at n in {1,10}")
+@pytest.mark.slow
 def test_criterion_08_variance_trend(hospital12):
     results = {}
     for n in (1, 10, 100):
@@ -251,6 +254,7 @@ def test_criterion_08_variance_trend(hospital12):
 
 @criterion(9, "distance scaling trend: m and charging visits nondecreasing in k, "
               "no charging at k=1")
+@pytest.mark.slow
 def test_criterion_09_distance_trend(hospital12):
     ms = []
     charges = []

@@ -7,8 +7,9 @@ from collections import Counter
 import pytest
 
 from amrsched.model import DEPOT, Solution, StructuralError, solution_from_ids
-from amrsched.evaluation import (evaluate_solution, evaluate_trip,
-                                 route_table, solution_cost, solution_to_dict)
+from amrsched.evaluation import (_MAX_COUNT, _amr_cost, _extend, _start_record,
+                                 evaluate_solution, evaluate_trip, route_table,
+                                 solution_cost, solution_to_dict)
 from amrsched.operators import charging_insert_repair
 from amrsched.oracle import mc_validate
 from helpers import paper_optimum, random_instance, random_solution, sub_instance
@@ -190,6 +191,30 @@ def test_bounded_pricing_is_exact():
             inst._caches["sol"].clear()
             assert [solution_cost(inst, s) for s in sols] == full
     assert len(outcomes) == 5 and all(outcomes.values()), outcomes
+
+
+def test_extended_record_is_the_memo_record():
+    """Folding _extend over an AMR's trips from the start record gives the
+    record _amr_cost keeps, float for float; under a limit the fold stops
+    with None exactly where _amr_cost returns None, on random plans with and
+    without charging stops."""
+    outcomes = Counter()
+    rng = random.Random(29)
+    for case in range(60):
+        inst = random_instance(rng, rng.randint(1, 8), tight_battery=case % 2 == 0)
+        sol = random_solution(rng, inst)
+        if case % 4 == 0:
+            sol = charging_insert_repair(inst, sol)
+        for trips in sol.amrs:
+            for limit in (-1, 0, 1, 2, _MAX_COUNT):
+                folded = _start_record(inst)
+                for trip in trips:
+                    folded = folded and _extend(inst, folded, trip, limit)
+                # a fresh instance, so that no stored record answers for the walk
+                memo = _amr_cost(inst, trips, dataclasses.replace(inst)._caches, limit)
+                assert folded == memo, (case, trips, limit)
+                outcomes[memo is None, memo is not None and memo[3] > 0] += 1
+    assert len(outcomes) == 3 and all(outcomes.values()), outcomes
 
 
 def test_violation_budget_is_the_largest_passing_count():

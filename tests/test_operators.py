@@ -467,7 +467,7 @@ def test_shake_picks_minimum_of_its_candidates(hospital12_path, hospital64_path)
     assert len(seen) == 7 and all(seen.values()), seen
     # and the pick can never beat the globally best tail exchange
     inst = load_instance(hospital12_path)
-    sol = feasible_operation(inst, greedy_initial(inst))
+    sol = feasible_operation(inst, greedy_initial(inst, random.Random(0)))
     picked = shake_2opt_l(inst, sol, random.Random(123), candidates=20)
     global_best = _enumerate_all_tail_exchanges(inst, sol)
     assert shake_cost(inst, solution_cost(inst, picked)) >= global_best - 1e-9

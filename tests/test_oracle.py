@@ -277,6 +277,31 @@ def test_exact_empty_instance():
     assert obj == 0.0 and sol.amrs == ()
 
 
+def test_exact_leaves_the_search_memos_alone(hospital12):
+    """exact_solve prices each day from the records its days carry, not
+    through the search's memos: a fresh instance keeps no lower-bound record
+    and no trip-prefix record but those of the returned plan, whose
+    objective is the one solution_cost gives.  On hospital12 subsets, and on
+    tight-battery instances, whose days the charging repair rebuilds."""
+    rng = random.Random(31)
+    insts = [sub_instance(hospital12, rng.sample(range(1, 13), rng.randint(3, 6)))
+             for _ in range(5)]
+    for _ in range(6):  # one leg may drain half the battery
+        inst = random_instance(rng, rng.randint(3, 5), tight_battery=True)
+        insts.append(dataclasses.replace(inst, amr=dataclasses.replace(
+            inst.amr, consume_rate=1.5 * inst.amr.consume_rate)))
+    charged = 0
+    for inst in insts:
+        sol, obj = exact_solve(inst)
+        caches = inst._caches
+        assert not caches["bound"]
+        assert set(caches["amr"]) <= {amr[:k] for amr in sol.amrs
+                                      for k in range(1, len(amr) + 1)}
+        assert solution_cost(inst, sol).objective == obj
+        charged += any(inst.is_charging(n) for trip in sol.trips() for n in trip)
+    assert charged >= 2
+
+
 # ---------------------------------------------------------------------------
 # Monte Carlo validation
 

@@ -17,7 +17,7 @@ from helpers import battery_starved_payload, paper_optimum, random_instance
 def test_greedy_single_request():
     rng = random.Random(0)
     inst = random_instance(rng, 1)
-    sol = greedy_initial(inst)
+    sol = greedy_initial(inst, random.Random(0))
     assert len(sol.amrs) == 1
     assert sol.amrs[0][0] == (DEPOT, 1, DEPOT)
     ev = evaluate_solution(inst, sol)
@@ -26,7 +26,7 @@ def test_greedy_single_request():
 
 
 def test_greedy_covers_with_legal_loads(hospital12):
-    sol = greedy_initial(hospital12)
+    sol = greedy_initial(hospital12, random.Random(0))
     served = sorted(hospital12.request_at(n).id
                     for n in sol.stops() if hospital12.is_request(n))
     assert served == list(range(1, 13))
@@ -36,7 +36,8 @@ def test_greedy_covers_with_legal_loads(hospital12):
 
 
 def test_greedy_deterministic(hospital12):
-    assert greedy_initial(hospital12) == greedy_initial(hospital12)
+    assert (greedy_initial(hospital12, random.Random(0))
+            == greedy_initial(hospital12, random.Random(0)))
 
 
 def test_local_search_keeps_local_optimum(hospital12):
