@@ -363,10 +363,10 @@ def shake_2opt_l(inst: Instance, sol: Solution, rng: random.Random,
     per-AMR costs with only the changed AMRs re-priced, and only the winner
     is built.  Every candidate gets a lower key first: its exact objective
     xi1*m + xi2*distance plus xi1 (>= 0 on every Instance) times the
-    violations already known, from exact or lower-bound records; where its
-    changed AMRs are all cached, that is its score.  Candidates are priced
-    in ascending key order until none can win, each walk stopping once its
-    violations leave the budget the best score allows.
+    violations already known, from exact or lower-bound records, which is
+    its score where its changed AMRs are all cached.  Those go first, so
+    that the best of them bounds every walk; the rest are priced in
+    ascending key order while they can still win.
     """
     flat = [(a, t) for a, amr in enumerate(sol.amrs) for t in range(len(amr))]
     if not flat:
@@ -392,10 +392,10 @@ def shake_2opt_l(inst: Instance, sol: Solution, rng: random.Random,
         objective, known, floors = _lower_bound(inst, dict(change), amr_costs, caches)
         queued.append(((objective + rate * known, k), objective, known, floors, change,
                        amr_costs))
-    queued.sort(key=lambda entry: entry[0])
+    queued.sort(key=lambda entry: (bool(entry[3]), entry[0]))
     for low, objective, known, floors, change, amr_costs in queued:
         if low >= best:
-            break
+            continue
         # an earlier draw also wins a tie: the score may equal the best
         below = best[0] if low[1] > best[1] else math.nextafter(best[0], math.inf)
         amr_costs = _price_within(inst, dict(change), amr_costs, caches, known,
