@@ -387,18 +387,18 @@ def shake_2opt_l(inst: Instance, sol: Solution, rng: random.Random,
         if change is None:
             continue
         amr_costs = base.copy()
-        for a, trips in change:
+        for a, trips in change.items():
             amr_costs[a] = amr_cache.get(trips) if trips else ()
-        objective, known, floors = _lower_bound(inst, dict(change), amr_costs, caches)
-        queued.append(((objective + rate * known, k), objective, known, floors, change,
-                       amr_costs))
-    queued.sort(key=lambda entry: (bool(entry[3]), entry[0]))
-    for low, objective, known, floors, change, amr_costs in queued:
+        objective, known, floors = _lower_bound(inst, change, amr_costs, caches)
+        queued.append((bool(floors), (objective + rate * known, k), objective, known,
+                       floors, change, amr_costs))
+    queued.sort()   # draw indices differ, so no two entries compare further
+    for _, low, objective, known, floors, change, amr_costs in queued:
         if low >= best:
             continue
         # an earlier draw also wins a tie: the score may equal the best
         below = best[0] if low[1] > best[1] else math.nextafter(best[0], math.inf)
-        amr_costs = _price_within(inst, dict(change), amr_costs, caches, known,
+        amr_costs = _price_within(inst, change, amr_costs, caches, known,
                                   floors, objective, rate, below)
         if amr_costs is None:
             continue
@@ -408,7 +408,7 @@ def shake_2opt_l(inst: Instance, sol: Solution, rng: random.Random,
     if winner is None:
         return sol
     amrs = list(sol.amrs)
-    for a, trips in winner:
+    for a, trips in winner.items():
         amrs[a] = trips
     return normalize_solution(amrs)
 
@@ -427,8 +427,8 @@ def _two_of(below, n):
 
 
 def _shake_candidate(sol, flat, rng):
-    """Draw the next shake candidate as the AMRs it changes: a tuple of
-    (AMR index, new trips), where emptied trips are dropped and an AMR left
+    """Draw the next shake candidate as the AMRs it changes: a dict of AMR
+    index -> new trips, where emptied trips are dropped and an AMR left
     with no trips gets ().  None when the only trip is too short to reverse;
     that draws nothing.
 
@@ -446,12 +446,12 @@ def _shake_candidate(sol, flat, rng):
         new1 = trip1[:c1 + 1] + trip2[c2 + 1:]
         new2 = trip2[:c2 + 1] + trip1[c1 + 1:]
         if a1 != a2:
-            return ((a1, _with_trip(sol.amrs[a1], t1, new1)),
-                    (a2, _with_trip(sol.amrs[a2], t2, new2)))
+            return {a1: _with_trip(sol.amrs[a1], t1, new1),
+                    a2: _with_trip(sol.amrs[a2], t2, new2)}
         trips = list(sol.amrs[a1])
         trips[t1] = new1
         trips[t2] = new2
-        return ((a1, tuple([t for t in trips if len(t) > 2])),)
+        return {a1: tuple([t for t in trips if len(t) > 2])}
     a, t = flat[0]
     trip = sol.amrs[a][t]
     if len(trip) < 4:
@@ -459,7 +459,7 @@ def _shake_candidate(sol, flat, rng):
     i, j = sorted(_two_of(below, len(trip) - 2))
     i += 1
     j += 1
-    return ((a, (trip[:i] + trip[i:j + 1][::-1] + trip[j + 1:],)),)
+    return {a: (trip[:i] + trip[i:j + 1][::-1] + trip[j + 1:],)}
 
 
 def _with_trip(trips, t, trip):
