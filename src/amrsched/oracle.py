@@ -80,9 +80,8 @@ def exact_solve(inst: Instance):
     # a layer: (day, request mask, open-trip load, record of its closed trips)
     layer = [(((DEPOT, r, DEPOT),), bit[r], demand[r], start) for r in range(1, n + 1)]
     while layer:
-        # the days that may grow, as (load, mean, var, distance, day, mask,
-        # base, record), by (mask, last request) where dominance holds; else
-        # each alone, so that none is compared and they grow in layer order
+        # the days that may grow, as (load, mean, var, distance, day, mask, base,
+        # record): by (mask, last request) where dominance holds, else in one list
         labels = {}
         for day, mask, load, base in layer:
             priced = record = _extend(inst, base, day[-1])
@@ -100,13 +99,14 @@ def exact_solve(inst: Instance):
             if prune and record[1]:
                 continue
             dist, mean, var = record[0], record[5], record[6]
-            kept = labels.setdefault((mask, day[-1][-2]) if dominance else len(labels), [])
-            for a in kept:
+            kept = labels.setdefault((mask, day[-1][-2]) if dominance else None, [])
+            for a in kept if dominance else ():
                 if a[0] <= load and a[1] <= mean and a[2] <= var and a[3] <= dist:
                     break
             else:
-                kept[:] = [b for b in kept if not (load <= b[0] and mean <= b[1]
-                                                   and var <= b[2] and dist <= b[3])]
+                if dominance:
+                    kept[:] = [b for b in kept if not (load <= b[0] and mean <= b[1]
+                                                       and var <= b[2] and dist <= b[3])]
                 kept.append((load, mean, var, dist, day, mask, base, record))
         layer = []
         for load, _, _, _, day, mask, base, record in (
