@@ -18,9 +18,13 @@ script prints:
   and its median is better than the parent's by more than the parent's
   interquartile range.
 
+The host's load average is read before every run, and the summary gives
+each side's highest 1-minute load, so a set of pairs taken while other work
+shared the host shows as such.
+
 The last stdout line is the same summary as one JSON object: every pair's
-metrics, the medians, quartiles, wins and verdicts per metric, the host's
-core count, the Python version and each checkout's commit.
+metrics and loads, the medians, quartiles, wins and verdicts per metric, the
+host's core count, the Python version and each checkout's commit.
 
 Standard library only.
 """
@@ -82,9 +86,11 @@ def main(argv=None) -> int:
     seconds = spec["run_seconds"] if args.seconds is None else args.seconds
     sides = {"parent": args.parent, "change": args.change}
     runs = {"parent": [], "change": []}
+    loads = {"parent": [], "change": []}    # 1-minute load before each run
     for i in range(args.pairs):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         for side in order:
+            loads[side].append(os.getloadavg()[0])
             runs[side].append(run_bench(sides[side], args.workload, args.seed, seconds))
         values = ", ".join(
             f"{m['name']} {runs['parent'][-1]['metrics'][m['name']]['value']:.6g}"
@@ -103,6 +109,8 @@ def main(argv=None) -> int:
         "per_pair": [{side: {m["name"]: runs[side][i]["metrics"][m["name"]]["value"]
                              for m in spec["end_to_end"]} for side in sides}
                      for i in range(args.pairs)],
+        "load_1min": {side: loads[side] for side in sides},
+        "max_load_1min": {side: max(loads[side]) for side in sides},
     }
     print(f"\nworkload {args.workload}, seed {args.seed}, {args.pairs} pairs, "
           f"{seconds:g} s per run")
@@ -113,7 +121,8 @@ def main(argv=None) -> int:
         summary["runs"][side] = {"correct": correct, "failed": failed,
                                  "attempted": attempted}
         print(f"{side}: {correct}/{args.pairs} runs correct, "
-              f"{failed} failed of {attempted}")
+              f"{failed} failed of {attempted}; "
+              f"highest 1-minute load before a run {max(loads[side]):.2f}")
     for metric in spec["end_to_end"]:
         name, sign = metric["name"], 1 if metric["better"] == "lower" else -1
         parent = [run["metrics"][name]["value"] for run in runs["parent"]]

@@ -268,7 +268,7 @@ def _put(store, key, value, cap):
     return value
 
 
-def _amr_cost(inst, trips, caches, limit=_MAX_COUNT):
+def _amr_cost(inst, trips, caches, limit=_MAX_COUNT, dist=None):
     """Cost record of one AMR's chained trips: (distance, window violations,
     capacity flags, battery flags, violating nodes, depot arrival mean,
     depot arrival variance, battery).  The memo holds one record per trip
@@ -279,7 +279,8 @@ def _amr_cost(inst, trips, caches, limit=_MAX_COUNT):
     violations plus flags) exceed it, leaving a lower-bound record (distance,
     violations at least) in a store of its own; a later call whose limit
     that record exceeds returns None at once.  An exact record comes back
-    whatever its count.
+    whatever its count.  A caller that has summed the AMR's distance passes
+    it as ``dist``; otherwise a stopped walk sums it.
     """
     cache = caches["amr"]
     hit = cache.get(trips)
@@ -298,8 +299,9 @@ def _amr_cost(inst, trips, caches, limit=_MAX_COUNT):
     for k in range(k, len(trips)):
         record = _extend(inst, hit, trips[k], limit)
         if record is None:
-            d = bound[0] if bound else _amr_distance(inst, trips[k:], hit[0])
-            _put(caches["bound"], trips, (d, max(sum(hit[1:4]), limit + 1)),
+            if dist is None:
+                dist = bound[0] if bound else _amr_distance(inst, trips[k:], hit[0])
+            _put(caches["bound"], trips, (dist, max(sum(hit[1:4]), limit + 1)),
                  _AMR_CACHE_LIMIT)
             return None
         hit = _put(cache, trips[:k + 1], record, _AMR_CACHE_LIMIT)
@@ -362,15 +364,15 @@ def _fold(inst, amr_costs) -> CostSummary:
 
 def _lower_bound(inst, amrs, costs, caches):
     """What a plan costs before any walk, where every pricing starts:
-    (objective, violations at least, {AMR index: its share of that count}
-    for each AMR still to price).
+    (objective, violations at least, {AMR index: (its distance, its share
+    of that count)} for each AMR still to price).
 
     ``costs`` holds the plan's records in AMR order, () for a removed AMR and
     None where no exact record is known; ``amrs[i]`` gives the trips of each
-    such AMR i.  Their distances come from lower-bound records, or from the
-    legs, which then go into a record of at least 0 violations.  Distances
-    are summed as ``_fold`` sums them, so the objective is the float the
-    full summary gives.
+    such AMR i.  Their distances come from lower-bound records, else from
+    the legs with a share of 0, which is not stored: only a stopped walk
+    leaves a record.  Distances are summed as ``_fold`` sums them, so the
+    objective is the float the full summary gives.
     """
     bounds = caches["bound"]
     m = 0
@@ -379,12 +381,8 @@ def _lower_bound(inst, amrs, costs, caches):
     floors = {}
     for i, cost in enumerate(costs):
         if cost is None:
-            bound = bounds.get(amrs[i])
-            if bound is None:
-                bound = _put(bounds, amrs[i], (_amr_distance(inst, amrs[i]), 0),
-                             _AMR_CACHE_LIMIT)
-            d, floor = bound
-            floors[i] = floor
+            d, floor = floors[i] = bounds.get(amrs[i]) or (
+                _amr_distance(inst, amrs[i]), 0)
         elif cost:
             d, floor = cost[0], cost[1] + cost[2] + cost[3]
         else:
@@ -422,10 +420,10 @@ def _price_within(inst, amrs, costs, caches, known, floors, objective, rate, bel
     ``below`` (no limit when None).  Returns the filled list, or None once
     the plan's penalized cost is certain to reach ``below``."""
     budget = _violation_budget(objective, rate, below)
-    for i, floor in floors.items():
+    for i, (dist, floor) in floors.items():
         if known > budget:
             return None
-        cost = _amr_cost(inst, amrs[i], caches, budget - known + floor)
+        cost = _amr_cost(inst, amrs[i], caches, budget - known + floor, dist)
         if cost is None:
             return None
         costs[i] = cost

@@ -368,7 +368,7 @@ def shake_2opt_l(inst: Instance, sol: Solution, rng: random.Random,
     that the best of them bounds every walk; the rest are priced in
     ascending key order while they can still win.
     """
-    flat = [(a, t) for a, amr in enumerate(sol.amrs) for t in range(len(amr))]
+    flat = _shake_trips(sol)
     if not flat:
         return sol
     caches = inst._caches
@@ -382,8 +382,9 @@ def shake_2opt_l(inst: Instance, sol: Solution, rng: random.Random,
     best = (math.inf, -1)       # (score, draw index) of the winner so far
     winner = None
     queued = []
+    bits = rng.getrandbits
     for k in range(candidates):
-        change = _shake_candidate(sol, flat, rng)
+        change = _shake_candidate(sol, flat, bits)
         if change is None:
             continue
         amr_costs = base.copy()
@@ -413,53 +414,66 @@ def shake_2opt_l(inst: Instance, sol: Solution, rng: random.Random,
     return normalize_solution(amrs)
 
 
-def _two_of(below, n):
-    """Two distinct indices below n, drawn as ``random.sample(range(n), 2)``
-    draws them in CPython: a pool for n <= 21, rejection above."""
-    i = below(n)
-    if n <= 21:
-        j = below(n - 1)
-        return i, n - 1 if j == i else j
-    j = below(n)
-    while j == i:
-        j = below(n)
-    return i, j
+def _shake_trips(sol):
+    """Every trip of ``sol`` as (AMR index, trip index, trip, the bit count of
+    a cut index below its length - 1): what the shake draws from."""
+    return [(a, t, trip, (len(trip) - 1).bit_length())
+            for a, amr in enumerate(sol.amrs) for t, trip in enumerate(amr)]
 
 
-def _shake_candidate(sol, flat, rng):
+def _shake_candidate(sol, flat, bits):
     """Draw the next shake candidate as the AMRs it changes: a dict of AMR
     index -> new trips, where emptied trips are dropped and an AMR left
     with no trips gets ().  None when the only trip is too short to reverse;
     that draws nothing.
 
-    The draws go through ``rng._randbelow``, the method ``sample`` and
-    ``randint`` call, and consume the stream those calls would."""
-    below = rng._randbelow
-    if len(flat) >= 2:
-        i, j = _two_of(below, len(flat))
-        a1, t1 = flat[i]
-        a2, t2 = flat[j]
-        trip1 = sol.amrs[a1][t1]
-        trip2 = sol.amrs[a2][t2]
-        c1 = below(len(trip1) - 1)
-        c2 = below(len(trip2) - 1)
-        new1 = trip1[:c1 + 1] + trip2[c2 + 1:]
-        new2 = trip2[:c2 + 1] + trip1[c1 + 1:]
-        if a1 != a2:
-            return {a1: _with_trip(sol.amrs[a1], t1, new1),
-                    a2: _with_trip(sol.amrs[a2], t2, new2)}
-        trips = list(sol.amrs[a1])
-        trips[t1] = new1
-        trips[t2] = new2
-        return {a1: tuple([t for t in trips if len(t) > 2])}
-    a, t = flat[0]
-    trip = sol.amrs[a][t]
-    if len(trip) < 4:
-        return None
-    i, j = sorted(_two_of(below, len(trip) - 2))
-    i += 1
-    j += 1
-    return {a: (trip[:i] + trip[i:j + 1][::-1] + trip[j + 1:],)}
+    ``bits`` is a ``random.Random``'s ``getrandbits``, and the draws consume
+    its stream as ``sample`` and ``randint`` do: an index below n takes
+    ``bits(n.bit_length())`` until it lands below n (``_randbelow``), and
+    two distinct indices below n come as ``sample(range(n), 2)`` draws them,
+    the second below n - 1 and standing for n - 1 where it hits the first
+    when n <= 21, by rejection above."""
+    n = len(flat)
+    if n < 2:
+        a, _, trip, _ = flat[0]
+        n = len(trip) - 2
+        if n < 2:
+            return None
+    k = n.bit_length()
+    i = bits(k)
+    while i >= n:
+        i = bits(k)
+    if n <= 21:
+        k = (n - 1).bit_length()
+        j = bits(k)
+        while j >= n - 1:
+            j = bits(k)
+        if j == i:
+            j = n - 1
+    else:
+        j = bits(k)
+        while j >= n or j == i:
+            j = bits(k)
+    if len(flat) < 2:
+        i, j = (i + 1, j + 2) if i < j else (j + 1, i + 2)
+        return {a: (trip[:i] + trip[i:j][::-1] + trip[j:],)}
+    a1, t1, trip1, k = flat[i]
+    c1 = bits(k)
+    while c1 >= len(trip1) - 1:
+        c1 = bits(k)
+    a2, t2, trip2, k = flat[j]
+    c2 = bits(k)
+    while c2 >= len(trip2) - 1:
+        c2 = bits(k)
+    new1 = trip1[:c1 + 1] + trip2[c2 + 1:]
+    new2 = trip2[:c2 + 1] + trip1[c1 + 1:]
+    if a1 != a2:
+        return {a1: _with_trip(sol.amrs[a1], t1, new1),
+                a2: _with_trip(sol.amrs[a2], t2, new2)}
+    trips = list(sol.amrs[a1])
+    trips[t1] = new1
+    trips[t2] = new2
+    return {a1: tuple([t for t in trips if len(t) > 2])}
 
 
 def _with_trip(trips, t, trip):

@@ -148,6 +148,7 @@ def test_criterion_04_truncation_accuracy():
 
 @criterion(5, "chance calibration: MC violation within eps + 3se + 0.02 on the "
               "criterion-1 best plan")
+@pytest.mark.slow   # it takes criterion 1's sweep for its best plan
 def test_criterion_05_chance_calibration(hospital12, bench):
     rows, _ = bench
     best_row = min((r for r in rows if r[0] == 4000), key=lambda r: r[4])

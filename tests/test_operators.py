@@ -9,10 +9,10 @@ from amrsched.model import (DEPOT, Solution, StructuralError,
                             normalize_solution, solution_from_ids)
 from amrsched import evaluation
 from amrsched.evaluation import evaluate_solution, solution_cost
-from amrsched.operators import (amr_decrease, charging_insert_repair,
-                                depot_insert_repair, relocation_star,
-                                shake_2opt_l, shake_cost, swap_star,
-                                two_opt_star)
+from amrsched.operators import (_shake_candidate, _shake_trips, amr_decrease,
+                                charging_insert_repair, depot_insert_repair,
+                                relocation_star, shake_2opt_l, shake_cost,
+                                swap_star, two_opt_star)
 from amrsched.vns import feasible_operation, greedy_initial, local_search
 from helpers import (paper_optimum, random_instance, random_solution,
                      reference_descent, reference_merge, reference_shake)
@@ -510,6 +510,70 @@ def test_memos_capped_at_three_change_no_cost_and_no_shake(monkeypatch):
             assert solution_cost(inst, sol) == summary
     assert longest > 3      # some walk stores more prefixes than the cap
     assert merges and bounds    # merges are kept and walks are stopped
+
+
+def test_shake_draws_are_the_generators():
+    """The shake's inline getrandbits draws are random.Random's: a cut below
+    n is ``_randbelow(n)`` (n = 1..70), two trips or two reversal ends are
+    ``sample(range(n), 2)`` (n = 2..70: the pool up to 21, rejection above),
+    and the generator ends in the state those calls leave."""
+    def kept(trip):
+        return (trip,) if len(trip) > 2 else ()
+
+    def check(sol, seed, expected_draws):
+        rng, ref = random.Random(seed), random.Random(seed)
+        change = _shake_candidate(sol, _shake_trips(sol), rng.getrandbits)
+        assert change == expected_draws(ref)
+        assert rng.getstate() == ref.getstate()
+
+    for seed in range(4):
+        for n in range(1, 71):      # a lone cut below n: a trip of n + 1 stops
+            trips = (tuple(range(n + 1)), (0, 100, 0))
+            sol = Solution(amrs=tuple((trip,) for trip in trips))
+
+            def cut_below_n(ref):
+                i, j = ref.sample(range(2), 2)
+                ci = ref._randbelow(len(trips[i]) - 1)
+                cj = ref._randbelow(len(trips[j]) - 1)
+                return {i: kept(trips[i][:ci + 1] + trips[j][cj + 1:]),
+                        j: kept(trips[j][:cj + 1] + trips[i][ci + 1:])}
+            check(sol, seed, cut_below_n)
+        for n in range(2, 71):      # two of n one-trip AMRs; a reversal in n
+            trips = tuple((0, a + 1, 0) for a in range(n))
+            sol = Solution(amrs=tuple((trip,) for trip in trips))
+
+            def two_of_n(ref):
+                i, j = ref.sample(range(n), 2)
+                ci, cj = ref._randbelow(2), ref._randbelow(2)
+                return {i: kept(trips[i][:ci + 1] + trips[j][cj + 1:]),
+                        j: kept(trips[j][:cj + 1] + trips[i][ci + 1:])}
+            check(sol, seed, two_of_n)
+            trip = (0, *range(1, n + 1), 0)
+
+            def reversal(ref):
+                i, j = sorted(ref.sample(range(1, n + 1), 2))
+                return {0: (trip[:i] + trip[i:j + 1][::-1] + trip[j + 1:],)}
+            check(Solution(amrs=((trip,),)), seed, reversal)
+
+
+def test_shake_stores_only_stopped_walks(hospital12_path, hospital64_path):
+    """On cold memos the shake adds lower-bound records only where a walk
+    stopped, each with a violation floor of at least 1: keying a candidate
+    stores nothing."""
+    rng = random.Random(5)
+    cases = [(load_instance(path), seed)
+             for path in (hospital12_path, hospital64_path) for seed in range(2)]
+    cases += [(random_instance(rng, rng.randint(4, 9), tight_battery=case % 2 == 1),
+               case) for case in range(10)]
+    stored = 0
+    for inst, seed in cases:
+        sol = random_solution(random.Random(seed), inst)
+        cold = dataclasses.replace(inst)
+        shake_2opt_l(cold, sol, random.Random(seed))
+        floors = [floor for _, floor in cold._caches["bound"].values()]
+        assert all(floor >= 1 for floor in floors), floors
+        stored += len(floors)
+    assert stored     # some walk did stop
 
 
 def _enumerate_all_tail_exchanges(inst, sol):
