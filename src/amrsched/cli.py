@@ -173,12 +173,16 @@ def _bench_task(task):
 
 
 def cmd_bench(args) -> int:
-    inst = load_configured_instance(args)
-    instance_json = serialize_instance(inst)
     try:
         n_values = [int(tok) for tok in str(args.iterations).split(",") if tok]
     except ValueError:
-        raise ValueError(f"bad --iterations list: {args.iterations}") from None
+        n_values = []
+    if not n_values or min(n_values) < 1:
+        raise ValueError(f"bad --iterations list: {args.iterations} (want integers >= 1)")
+    for option in ("repeats", "jobs"):
+        if getattr(args, option) < 1:
+            raise ValueError(f"--{option} must be >= 1")
+    instance_json = serialize_instance(load_configured_instance(args))
     seeds = list(range(args.seed, args.seed + args.repeats))
     tasks = [(instance_json, n, s) for n in n_values for s in seeds]
     jobs = min(args.jobs, len(tasks))

@@ -1,11 +1,13 @@
 """Trip and solution evaluation: load/battery profiles, stochastic timings,
 the two-term objective and its penalized search surrogate.
 
-One trip recurrence, ``_walk_trip``, carries the arrival law, the battery and
-the load from node to node, and can record the per-node profile as it goes:
+One trip recurrence, ``_walk_trip``, extends an AMR's cost record by a trip,
+carrying the arrival law, the battery and the load from node to node, and
+can record the per-node profile as it goes:
 
 * ``evaluate_trip`` / ``evaluate_solution`` record it and return full
-  ``TripEvaluation`` profiles (reports, tests, the solver's final answer).
+  ``TripEvaluation`` profiles (reports, tests, the solver's final answer);
+  the solution totals are ``_fold`` of the AMR records, as in the memo.
 * ``solution_cost`` is the memoized aggregate the search loop runs millions
   of times; it caches per solution, and one memo walk, ``_amr_cost``, per
   AMR trip prefix.  Without a penalized cost to beat it prices in full;
@@ -62,10 +64,10 @@ class SolutionEvaluation:
         return tuple(r for te in self.per_trip for r in te.violating_requests)
 
 
-def _walk_trip(inst: Instance, trip, t0: float, v0: float, b0: float,
-               load: float, profile: list | None = None,
-               limit: int = _MAX_COUNT):
-    """The trip recurrence every evaluator runs.
+def _walk_trip(inst: Instance, record, trip, limit: int = _MAX_COUNT,
+               profile: list | None = None, load: float | None = None):
+    """The trip recurrence every evaluator runs: the cost record (see
+    ``_amr_cost``) of an AMR with ``record`` that then drives ``trip``.
 
     Each leg adds its travel mean and variance to the arrival and drains the
     battery per metre.  A request tests its window at the (1 - epsilon)
@@ -78,17 +80,17 @@ def _walk_trip(inst: Instance, trip, t0: float, v0: float, b0: float,
     order, so the floats are the reference closed form's (the tests compare
     them with ``==``).
 
-    The walk starts at an arrival law of mean ``t0`` and variance ``v0``.
-    Returns (depot arrival mean, depot arrival variance, battery, distance,
-    window violations, capacity broken, battery broken, violating request
-    nodes).  With a ``profile`` list, one (arrival mean, arrival variance,
-    start mean, start variance, departure mean, load, battery) tuple per node
-    after the first is appended to it.
+    The walk starts at the record's depot arrival law and battery, with
+    ``load`` on board (None means ``inst.amr.capacity``); the trip's distance
+    is summed on its own and then added to the record's.  With a ``profile``
+    list, one (arrival mean, arrival variance, start mean, start variance,
+    departure mean, load, battery) tuple per node after the first is
+    appended to it.
 
-    The trip's count (window violations plus its capacity and battery flags)
-    only rises along the walk.  Once it exceeds ``limit`` the walk returns
-    None; the limit is tested at the start and where the count rises, so a
-    negative limit returns None at once.
+    The count (window violations plus capacity and battery flags) only rises
+    along the walk.  Once the record's count plus the trip's exceeds
+    ``limit`` the walk returns None; the limit is tested at the start and
+    where the count rises, so a negative limit returns None at once.
     """
     tm = inst.travel_mean
     tv = inst.travel_var
@@ -112,17 +114,15 @@ def _walk_trip(inst: Instance, trip, t0: float, v0: float, b0: float,
     sqrt2 = _SQRT2
     inv_sqrt_2pi = _INV_SQRT_2PI
 
-    mean = t0
-    var = v0
-    bat = b0
+    dist0, twv, cap_n, bat_n, viol, mean, var, bat = record
+    if load is None:
+        load = inst.amr.capacity
     dist = 0.0
-    twv = 0
     cap_bad = False
     bat_bad = bat < bat_low
-    room = limit - bat_bad          # the window violations the limit allows
-    if room < 0:
+    room = limit - cap_n - bat_n - bat_bad    # the window violations allowed
+    if twv > room:
         return None
-    viol = ()
     prev = trip[0]
     for node in trip[1:]:
         dist += dmat[prev][node]
@@ -177,7 +177,8 @@ def _walk_trip(inst: Instance, trip, t0: float, v0: float, b0: float,
             if profile is not None:
                 profile.append((arrival, var, arrival, var, mean, load, bat))
         prev = node
-    return mean, var, bat, dist, twv, cap_bad, bat_bad, viol
+    return (dist0 + dist, twv, cap_n + cap_bad, bat_n + bat_bad, viol,
+            mean, var, bat)
 
 
 def evaluate_trip(inst: Instance, trip, start_time: float, start_battery: float,
@@ -192,8 +193,9 @@ def evaluate_trip(inst: Instance, trip, start_time: float, start_battery: float,
     """
     profile = [(start_time, start_var, start_time, start_var, start_time,
                 start_load, start_battery)]
-    *_, distance, tw_violations, cap_bad, bat_bad, violating = _walk_trip(
-        inst, trip, start_time, start_var, start_battery, start_load, profile)
+    distance, tw_violations, cap_bad, bat_bad, violating, *_ = _walk_trip(
+        inst, (0.0, 0, 0, 0, (), start_time, start_var, start_battery), trip,
+        profile=profile, load=start_load)
     return TripEvaluation(
         timings=tuple(NodeTiming(Gaussian(am, av), Gaussian(sm, sv), dep)
                       for am, av, sm, sv, dep, _, _ in profile),
@@ -209,42 +211,25 @@ def evaluate_trip(inst: Instance, trip, start_time: float, start_battery: float,
 
 
 def evaluate_solution(inst: Instance, sol: Solution) -> SolutionEvaluation:
-    """Chain every AMR's trips and aggregate cost and feasibility.
+    """Every trip's profile, and the totals ``solution_cost`` gives: each
+    AMR's trips chain from its record, and ``_fold`` sums the records.
 
-    Raises StructuralError when a request is missing or duplicated; ordinary
-    infeasibility only clears the flags.
+    Raises StructuralError when a request is missing or duplicated, or an
+    AMR has no trips; ordinary infeasibility only clears the flags.
     """
     check_solution_structure(inst, sol)
     per_trip = []
-    total_distance = 0.0
-    tw_violations = 0
-    flag_failures = 0
+    records = []
     for amr_trips in sol.amrs:
-        t = inst.shift_start
-        var = 0.0
-        battery = inst.amr.battery_init
-        amr_distance = 0.0      # summed per AMR first, as solution_cost sums
+        record = _start_record(inst)
         for trip in amr_trips:
-            te = evaluate_trip(inst, trip, t, battery, inst.amr.capacity, var)
-            per_trip.append(te)
-            amr_distance += te.distance
-            tw_violations += te.tw_violations
-            flag_failures += (not te.capacity_ok) + (not te.battery_ok)
-            t, var = te.timings[-1].arrival.mean, te.timings[-1].arrival.variance
-            battery = te.battery_after[-1]
-        total_distance += amr_distance
-    m = len(sol.amrs)
-    objective = _objective(inst, m, total_distance)
-    penalized = objective + inst.cost.tw_penalty * (tw_violations + flag_failures)
-    feasible = tw_violations == 0 and flag_failures == 0
-    return SolutionEvaluation(
-        amr_count=m,
-        total_distance=total_distance,
-        objective=objective,
-        penalized=penalized,
-        feasible=feasible,
-        per_trip=tuple(per_trip),
-    )
+            per_trip.append(evaluate_trip(inst, trip, record[5], record[7],
+                                          inst.amr.capacity, record[6]))
+            record = _walk_trip(inst, record, trip)
+        records.append(record)
+    total = _fold(inst, records)
+    return SolutionEvaluation(total.m, total.distance, total.objective,
+                              total.penalized, total.feasible, tuple(per_trip))
 
 
 # ---------------------------------------------------------------------------
@@ -297,7 +282,7 @@ def _amr_cost(inst, trips, caches, limit=_MAX_COUNT, dist=None):
     if not k:
         hit = _start_record(inst)
     for k in range(k, len(trips)):
-        record = _extend(inst, hit, trips[k], limit)
+        record = _walk_trip(inst, hit, trips[k], limit)
         if record is None:
             if dist is None:
                 dist = bound[0] if bound else _amr_distance(inst, trips[k:], hit[0])
@@ -310,19 +295,6 @@ def _amr_cost(inst, trips, caches, limit=_MAX_COUNT, dist=None):
 
 def _start_record(inst):
     return (0.0, 0, 0, 0, (), inst.shift_start, 0.0, inst.amr.battery_init)
-
-
-def _extend(inst, record, trip, limit=_MAX_COUNT):
-    """The cost record (see ``_amr_cost``) of an AMR with ``record`` that then
-    drives ``trip``; None once its violations exceed ``limit``."""
-    dist, twv, cap_n, bat_n, viol, t, var, bat = record
-    walked = _walk_trip(inst, trip, t, var, bat, inst.amr.capacity, None,
-                        limit - twv - cap_n - bat_n)
-    if walked is None:
-        return None
-    t, var, bat, d, tv_, cap_bad, bat_bad, v = walked
-    return (dist + d, twv + tv_, cap_n + cap_bad, bat_n + bat_bad, viol + v,
-            t, var, bat)
 
 
 def _amr_distance(inst, trips, dist=0.0) -> float:

@@ -604,11 +604,13 @@ def _node_from_token(inst: Instance, item) -> int:
 
 
 def check_solution_structure(inst: Instance, sol: Solution) -> None:
-    """Raise StructuralError unless every request appears exactly once, all
-    trips are depot-delimited with no interior depot, and every stop is an
-    int node index of the instance."""
+    """Raise StructuralError unless every request appears exactly once, every
+    AMR has a trip, all trips are depot-delimited with no interior depot, and
+    every stop is an int node index of the instance."""
     seen = set()
-    for amr in sol.amrs:
+    for i, amr in enumerate(sol.amrs):
+        if not amr:
+            raise StructuralError(f"AMR {i} has no trips")
         for trip in amr:
             if (len(trip) < 2 or trip[0] != DEPOT or trip[-1] != DEPOT
                     or type(trip[0]) is not int or type(trip[-1]) is not int):

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from functools import partial, reduce
 
 from .model import DEPOT, Instance, Solution, StructuralError, check_solution_structure
-from .evaluation import (_BATTERY_EPS, _LOAD_EPS, _extend, _objective, _start_record,
-                         evaluate_solution)
+from .evaluation import (_BATTERY_EPS, _LOAD_EPS, _objective, _start_record,
+                         _walk_trip, evaluate_solution)
 from .operators import charging_insert_repair
 
 _EXACT_HARD_LIMIT = 12
@@ -84,12 +84,12 @@ def exact_solve(inst: Instance):
         # record): by (mask, last request) where dominance holds, else in one list
         labels = {}
         for day, mask, load, base in layer:
-            priced = record = _extend(inst, base, day[-1])
+            priced = record = _walk_trip(inst, base, day[-1])
             plan = day
             if record[3]:
                 try:
                     plan = charging_insert_repair(inst, Solution(amrs=(day,))).amrs[0]
-                    priced = reduce(partial(_extend, inst), plan, start)
+                    priced = reduce(partial(_walk_trip, inst), plan, start)
                 except StructuralError:
                     plan = priced = None
             if priced and not any(priced[1:4]):

@@ -17,7 +17,8 @@ import math
 import random
 
 from .model import DEPOT, Instance, Solution, StructuralError, normalize_solution
-from .evaluation import _LOAD_EPS, _walk_trip, evaluate_solution, solution_cost
+from .evaluation import (_LOAD_EPS, _start_record, _walk_trip, evaluate_solution,
+                         solution_cost)
 from .operators import (amr_decrease, charging_insert_repair,
                         depot_insert_repair, relocation_star, shake_2opt_l,
                         shake_cost, swap_star, two_opt_star)
@@ -44,9 +45,8 @@ def greedy_initial(inst: Instance, rng: random.Random) -> Solution:
     body: list[int] = []
 
     def trip_ok(nodes):
-        *_, twv, cap_bad, bat_bad, _ = _walk_trip(
-            inst, (DEPOT, *nodes, DEPOT), inst.shift_start, 0.0,
-            inst.amr.battery_init, inst.amr.capacity)
+        _, twv, cap_bad, bat_bad, *_ = _walk_trip(inst, _start_record(inst),
+                                                  (DEPOT, *nodes, DEPOT))
         return twv == 0 and not cap_bad, bat_bad
 
     while unserved:

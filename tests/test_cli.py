@@ -376,15 +376,26 @@ def test_bad_matrix_is_one_short_error_line(hospital64_path, capsys):
     assert len(err.encode()) < 300
 
 
+BENCH = ["bench", "--instance", "HOSPITAL12", "--iterations", 5]
+
+
 @pytest.mark.parametrize("argv", [
     ["solve"],                                            # no --instance
     ["solve", "--instance", "x.json", "--iterations", "abc"],
     ["plan"],                                             # unknown command
+    BENCH[:-1] + [","],                                   # no N values
+    BENCH[:-1] + ["5,0"],                                 # refused before N = 5 runs
+    BENCH + ["--repeats", 0],
+    BENCH + ["--repeats", -1],
+    BENCH + ["--jobs", 0],
+    BENCH + ["--jobs", -2],
 ])
-def test_usage_error_is_one_error_line(argv, capsys):
+def test_usage_error_is_one_error_line(argv, hospital12_path, capsys):
     """A usage error exits 1 (2 means infeasible) with one line, not a
-    usage block; --help still exits 0."""
-    assert_one_error_line(argv, capsys)
+    usage block; --help still exits 0.  Bench refuses counts that would
+    run nothing or run serially against what was asked."""
+    assert_one_error_line([hospital12_path if a == "HOSPITAL12" else a
+                           for a in argv], capsys)
     with pytest.raises(SystemExit) as exit_info:
         run(["solve", "--help"])
     assert exit_info.value.code == 0

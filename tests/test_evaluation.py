@@ -7,7 +7,7 @@ from collections import Counter
 import pytest
 
 from amrsched.model import DEPOT, Solution, StructuralError, solution_from_ids
-from amrsched.evaluation import (_MAX_COUNT, _amr_cost, _extend, _start_record,
+from amrsched.evaluation import (_MAX_COUNT, _amr_cost, _start_record, _walk_trip,
                                  evaluate_solution, evaluate_trip, route_table,
                                  solution_cost, solution_to_dict)
 from amrsched.operators import charging_insert_repair
@@ -106,6 +106,12 @@ def test_structural_errors_are_not_infeasibility(hospital12):
     missing = Solution(amrs=(good.amrs[0],))
     with pytest.raises(StructuralError, match="not served"):
         evaluate_solution(inst, missing)
+    # an AMR with no trips would be charged a robot, and solution_cost's
+    # prefix walk would never end on it
+    idle = Solution(amrs=(*good.amrs, ()))
+    for check in (evaluate_solution, lambda i, s: mc_validate(i, s, 10)):
+        with pytest.raises(StructuralError, match="AMR 2 has no trips"):
+            check(inst, idle)
     # a stop index past the last charging station, a non-integer stop and a
     # trip that starts at 0.0 instead of the depot index
     first = good.amrs[0][0]
@@ -193,8 +199,8 @@ def test_bounded_pricing_is_exact():
     assert len(outcomes) == 5 and all(outcomes.values()), outcomes
 
 
-def test_extended_record_is_the_memo_record():
-    """Folding _extend over an AMR's trips from the start record gives the
+def test_walked_record_is_the_memo_record():
+    """Folding _walk_trip over an AMR's trips from the start record gives the
     record _amr_cost keeps, float for float; under a limit the fold stops
     with None exactly where _amr_cost returns None, on random plans with and
     without charging stops."""
@@ -209,7 +215,7 @@ def test_extended_record_is_the_memo_record():
             for limit in (-1, 0, 1, 2, _MAX_COUNT):
                 folded = _start_record(inst)
                 for trip in trips:
-                    folded = folded and _extend(inst, folded, trip, limit)
+                    folded = folded and _walk_trip(inst, folded, trip, limit)
                 # a fresh instance, so that no stored record answers for the walk
                 memo = _amr_cost(inst, trips, dataclasses.replace(inst)._caches, limit)
                 assert folded == memo, (case, trips, limit)

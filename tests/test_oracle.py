@@ -231,9 +231,10 @@ def test_later_or_wider_start_never_ends_earlier_or_narrower():
                              (rng.uniform(0, 3000), rng.uniform(0, 4e4))])
         b0 = rng.uniform(0.3, 0.8)
         base, later = [], []
-        *_, viol = _walk_trip(inst, trip, t0, v0, b0, inst.amr.capacity, base)
-        *_, viol_later = _walk_trip(inst, trip, t0 + dt, v0 + dv, b0,
-                                    inst.amr.capacity, later)
+        viol = _walk_trip(inst, (0.0, 0, 0, 0, (), t0, v0, b0), trip,
+                          profile=base)[4]
+        viol_later = _walk_trip(inst, (0.0, 0, 0, 0, (), t0 + dt, v0 + dv, b0), trip,
+                                profile=later)[4]
         for x, y in zip(base, later):
             assert all(y[k] >= x[k] - 1e-6 for k in range(4)), (case, x, y)
         assert set(viol) <= set(viol_later), case
