@@ -605,8 +605,8 @@ def _node_from_token(inst: Instance, item) -> int:
 
 def check_solution_structure(inst: Instance, sol: Solution) -> None:
     """Raise StructuralError unless every request appears exactly once, every
-    AMR has a trip, all trips are depot-delimited with no interior depot, and
-    every stop is an int node index of the instance."""
+    AMR has a trip, all trips are depot-delimited with at least one stop and
+    no interior depot, and every stop is an int node index of the instance."""
     seen = set()
     for i, amr in enumerate(sol.amrs):
         if not amr:
@@ -615,6 +615,8 @@ def check_solution_structure(inst: Instance, sol: Solution) -> None:
             if (len(trip) < 2 or trip[0] != DEPOT or trip[-1] != DEPOT
                     or type(trip[0]) is not int or type(trip[-1]) is not int):
                 raise StructuralError(f"trip {trip} must start and end at the depot")
+            if len(trip) < 3:
+                raise StructuralError(f"trip {trip} has no stops")
             for node in trip[1:-1]:
                 if type(node) is not int or not 0 <= node < inst.n_nodes:
                     raise StructuralError(f"unknown node index {node!r}")

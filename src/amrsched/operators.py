@@ -14,6 +14,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from bisect import insort
 
 from .model import DEPOT, Instance, Solution, StructuralError, normalize_solution
 from .evaluation import (_BATTERY_EPS, _LOAD_EPS, _amr_cost, _fold, _lower_bound,
@@ -352,58 +353,67 @@ def shake_cost(inst: Instance, summary) -> float:
 
 
 def shake_2opt_l(inst: Instance, sol: Solution, rng: random.Random,
-                 candidates: int = 20) -> Solution:
+                 candidates: int = 20, below: float = math.inf) -> Solution:
     """Best of L random inter-trip tail exchanges (by shake_cost); ties go to
-    the first-drawn candidate.
+    the first-drawn candidate.  With ``below`` the pick must also score
+    under it, as in ``solution_cost``; else ``sol`` comes back.
 
     With fewer than two trips the move degrades to a best-of-L random
     intra-trip reversal.
 
-    A candidate changes one or two AMRs, so it is scored from the incumbent's
-    per-AMR costs with only the changed AMRs re-priced, and only the winner
-    is built.  Every candidate gets a lower key first: its exact objective
-    xi1*m + xi2*distance plus xi1 (>= 0 on every Instance) times the
-    violations already known, from exact or lower-bound records, which is
-    its score where its changed AMRs are all cached.  Those go first, so
-    that the best of them bounds every walk; the rest are priced in
-    ascending key order while they can still win.
+    All L draws come first, each with an O(1) bound (``_shake_bounds``), and
+    leave one queue in ascending order; a candidate is built only while it
+    can still win.  It changes one or two AMRs, so it is scored from the
+    incumbent's per-AMR costs with only those re-priced, and only the winner
+    becomes a plan.  Its lower key is its exact objective xi1*m +
+    xi2*distance plus xi1 (>= 0 on every Instance) times the violations
+    already known, from exact or lower-bound records: its score where its
+    changed AMRs are all cached.  Any other candidate goes back into the
+    queue under that key and is priced, when it comes out, with the budget
+    the best score leaves.
     """
     flat = _shake_trips(sol)
-    if not flat:
-        return sol
+    if not flat or len(flat) == 1 and len(flat[0][2]) < 4:
+        return sol      # no trip, or a lone trip too short to reverse
     caches = inst._caches
     amr_cache = caches["amr"]
     rate = inst.cost.fixed_per_amr
     base = [_amr_cost(inst, trips, caches) for trips in sol.amrs]
+    draws = _shake_draws(flat, rng.getrandbits, candidates)
+    queue = _shake_bounds(inst, sol, flat, draws, _fold(inst, base))
+    queue.sort()    # draw indices differ: no two entries compare further
 
     # The incumbent itself is not part of the generated neighborhood: the best
     # candidate may be worse, and the delta acceptance rule downstream decides
     # whether the perturbation is kept.
-    best = (math.inf, -1)       # (score, draw index) of the winner so far
+    best = (below, -1)          # (score, draw index) to beat
     winner = None
-    queued = []
-    bits = rng.getrandbits
-    for k in range(candidates):
-        change = _shake_candidate(sol, flat, bits)
-        if change is None:
+    while queue:
+        low, k, keyed = queue.pop(0)
+        if keyed is None:
+            if low >= best[0]:  # the bound is strictly below the score
+                continue
+            change = _shake_change(sol, flat, draws[k])
+            amr_costs = base.copy()
+            for a, trips in change.items():
+                amr_costs[a] = amr_cache.get(trips) if trips else ()
+            objective, known, floors = _lower_bound(inst, change, amr_costs, caches)
+            key = (objective + rate * known, k)
+            if floors:
+                insort(queue, (*key, (objective, known, floors, change, amr_costs)))
+            elif key < best:    # every record is exact: the key is the score
+                best, winner = key, change
             continue
-        amr_costs = base.copy()
-        for a, trips in change.items():
-            amr_costs[a] = amr_cache.get(trips) if trips else ()
-        objective, known, floors = _lower_bound(inst, change, amr_costs, caches)
-        queued.append((bool(floors), (objective + rate * known, k), objective, known,
-                       floors, change, amr_costs))
-    queued.sort()   # draw indices differ, so no two entries compare further
-    for _, low, objective, known, floors, change, amr_costs in queued:
-        if low >= best:
+        if (low, k) >= best:
             continue
+        objective, known, floors, change, amr_costs = keyed
         # an earlier draw also wins a tie: the score may equal the best
-        below = best[0] if low[1] > best[1] else math.nextafter(best[0], math.inf)
+        limit = best[0] if k > best[1] else math.nextafter(best[0], math.inf)
         amr_costs = _price_within(inst, change, amr_costs, caches, known,
-                                  floors, objective, rate, below)
+                                  floors, objective, rate, limit)
         if amr_costs is None:
             continue
-        key = (shake_cost(inst, _fold(inst, amr_costs)), low[1])
+        key = (shake_cost(inst, _fold(inst, amr_costs)), k)
         if key < best:
             best, winner = key, change
     if winner is None:
@@ -411,7 +421,36 @@ def shake_2opt_l(inst: Instance, sol: Solution, rng: random.Random,
     amrs = list(sol.amrs)
     for a, trips in winner.items():
         amrs[a] = trips
-    return normalize_solution(amrs)
+    return Solution(amrs=tuple(trips for trips in amrs if trips))
+
+
+def _shake_bounds(inst, sol, flat, draws, now):
+    """A queue entry (bound, draw index, None) per shake draw on ``sol``,
+    whose summary is ``now``.  A tail exchange swaps the two legs out of its
+    cuts for the two that cross over and may empty an AMR; its objective
+    from ``now``, less a relative slack for summing the legs in another
+    order, is strictly below the candidate's.  A reversal gets -inf."""
+    rate, per_meter = inst.cost.fixed_per_amr, inst.cost.per_meter
+    dmat, amrs, m, dist = inst.distance, sol.amrs, now.m, now.distance
+    queue = []
+    for k, draw in enumerate(draws):
+        if len(draw) == 2:
+            queue.append((-math.inf, k, None))
+            continue
+        i, j, c1, c2 = draw
+        a1, _, trip1, _ = flat[i]
+        a2, _, trip2, _ = flat[j]
+        u1, v1, u2, v2 = trip1[c1], trip1[c1 + 1], trip2[c2], trip2[c2 + 1]
+        added = dmat[u1][v2] + dmat[u2][v1]
+        # an AMR goes when its only trip is emptied: depot to depot
+        gone = a1 != a2 and ((u1 == v2 == DEPOT and len(amrs[a1]) == 1)
+                             + (u2 == v1 == DEPOT and len(amrs[a2]) == 1))
+        low = rate * (m - gone) + per_meter * (
+            dist - dmat[u1][v1] - dmat[u2][v2] + added)
+        # far above the rounding of summing up to millions of legs anew
+        slack = 1e-9 * (now.objective + per_meter * added)
+        queue.append((math.nextafter(low - slack, -math.inf), k, None))
+    return queue
 
 
 def _shake_trips(sol):
@@ -421,11 +460,10 @@ def _shake_trips(sol):
             for a, amr in enumerate(sol.amrs) for t, trip in enumerate(amr)]
 
 
-def _shake_candidate(sol, flat, bits):
-    """Draw the next shake candidate as the AMRs it changes: a dict of AMR
-    index -> new trips, where emptied trips are dropped and an AMR left
-    with no trips gets ().  None when the only trip is too short to reverse;
-    that draws nothing.
+def _shake_draws(flat, bits, count):
+    """Draw ``count`` shake candidates' indices: (trip i, trip j, cut c1,
+    cut c2) of ``flat`` for a tail exchange, or the (first, end) slice of the
+    lone trip's reversal, which must have two stops.
 
     ``bits`` is a ``random.Random``'s ``getrandbits``, and the draws consume
     its stream as ``sample`` and ``randint`` do: an index below n takes
@@ -433,38 +471,52 @@ def _shake_candidate(sol, flat, bits):
     two distinct indices below n come as ``sample(range(n), 2)`` draws them,
     the second below n - 1 and standing for n - 1 where it hits the first
     when n <= 21, by rejection above."""
-    n = len(flat)
-    if n < 2:
-        a, _, trip, _ = flat[0]
-        n = len(trip) - 2
-        if n < 2:
-            return None
-    k = n.bit_length()
-    i = bits(k)
-    while i >= n:
+    lone = len(flat) < 2
+    n = len(flat[0][2]) - 2 if lone else len(flat)
+    k, k_pool = n.bit_length(), (n - 1).bit_length()
+    draws = []
+    for _ in range(count):
         i = bits(k)
-    if n <= 21:
-        k = (n - 1).bit_length()
-        j = bits(k)
-        while j >= n - 1:
+        while i >= n:
+            i = bits(k)
+        if n <= 21:
+            j = bits(k_pool)
+            while j >= n - 1:
+                j = bits(k_pool)
+            if j == i:
+                j = n - 1
+        else:
             j = bits(k)
-        if j == i:
-            j = n - 1
-    else:
-        j = bits(k)
-        while j >= n or j == i:
-            j = bits(k)
-    if len(flat) < 2:
-        i, j = (i + 1, j + 2) if i < j else (j + 1, i + 2)
+            while j >= n or j == i:
+                j = bits(k)
+        if lone:
+            draws.append((i + 1, j + 2) if i < j else (j + 1, i + 2))
+            continue
+        _, _, trip, kc = flat[i]
+        cuts = len(trip) - 1
+        c1 = bits(kc)
+        while c1 >= cuts:
+            c1 = bits(kc)
+        _, _, trip, kc = flat[j]
+        cuts = len(trip) - 1
+        c2 = bits(kc)
+        while c2 >= cuts:
+            c2 = bits(kc)
+        draws.append((i, j, c1, c2))
+    return draws
+
+
+def _shake_change(sol, flat, draw):
+    """The AMRs a drawn shake candidate changes: a dict of AMR index -> new
+    trips, where emptied trips are dropped and an AMR left with no trips
+    gets ()."""
+    if len(draw) == 2:
+        a, _, trip, _ = flat[0]
+        i, j = draw
         return {a: (trip[:i] + trip[i:j][::-1] + trip[j:],)}
-    a1, t1, trip1, k = flat[i]
-    c1 = bits(k)
-    while c1 >= len(trip1) - 1:
-        c1 = bits(k)
-    a2, t2, trip2, k = flat[j]
-    c2 = bits(k)
-    while c2 >= len(trip2) - 1:
-        c2 = bits(k)
+    i, j, c1, c2 = draw
+    a1, t1, trip1, _ = flat[i]
+    a2, t2, trip2, _ = flat[j]
     new1 = trip1[:c1 + 1] + trip2[c2 + 1:]
     new2 = trip2[:c2 + 1] + trip1[c1 + 1:]
     if a1 != a2:

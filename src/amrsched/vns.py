@@ -158,13 +158,12 @@ def shaking(inst: Instance, x_l: Solution, rng: random.Random) -> Solution:
     shake_cost): under the full xi3 surrogate no window-breaking perturbation
     could ever pass a delta gate, and the search would stay locked inside the
     first feasible basin it reaches.
+
+    The threshold is the shake's ``below``: a candidate that could not pass
+    is priced only as far as that takes, and x_l comes back when none can.
     """
-    x_s = shake_2opt_l(inst, x_l, rng)
-    cost_s = shake_cost(inst, solution_cost(inst, x_s))
-    cost_l = shake_cost(inst, solution_cost(inst, x_l))
-    if cost_s < cost_l * inst.cost.shake_delta:
-        return x_s
-    return x_l
+    gate = shake_cost(inst, solution_cost(inst, x_l)) * inst.cost.shake_delta
+    return shake_2opt_l(inst, x_l, rng, below=gate)
 
 
 def solve(inst: Instance, max_iterations: int, seed: int = 0,

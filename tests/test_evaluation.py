@@ -112,6 +112,11 @@ def test_structural_errors_are_not_infeasibility(hospital12):
     for check in (evaluate_solution, lambda i, s: mc_validate(i, s, 10)):
         with pytest.raises(StructuralError, match="AMR 2 has no trips"):
             check(inst, idle)
+    # nor may a trip with no stops: the AMR ((0, 0),) would cost a robot
+    empty = Solution(amrs=(*good.amrs, ((DEPOT, DEPOT),)))
+    for check in (evaluate_solution, lambda i, s: mc_validate(i, s, 10)):
+        with pytest.raises(StructuralError, match=r"trip \(0, 0\) has no stops"):
+            check(inst, empty)
     # a stop index past the last charging station, a non-integer stop and a
     # trip that starts at 0.0 instead of the depot index
     first = good.amrs[0][0]

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import random
 from collections import Counter
 
@@ -9,7 +10,8 @@ from amrsched.model import (DEPOT, Solution, StructuralError,
                             normalize_solution, solution_from_ids)
 from amrsched import evaluation
 from amrsched.evaluation import evaluate_solution, solution_cost
-from amrsched.operators import (_shake_candidate, _shake_trips, amr_decrease,
+from amrsched.operators import (_shake_bounds, _shake_change, _shake_draws,
+                                _shake_trips, amr_decrease,
                                 charging_insert_repair, depot_insert_repair,
                                 relocation_star, shake_2opt_l, shake_cost,
                                 swap_star, two_opt_star)
@@ -522,7 +524,8 @@ def test_shake_draws_are_the_generators():
 
     def check(sol, seed, expected_draws):
         rng, ref = random.Random(seed), random.Random(seed)
-        change = _shake_candidate(sol, _shake_trips(sol), rng.getrandbits)
+        flat = _shake_trips(sol)
+        change = _shake_change(sol, flat, _shake_draws(flat, rng.getrandbits, 1)[0])
         assert change == expected_draws(ref)
         assert rng.getstate() == ref.getstate()
 
@@ -554,6 +557,85 @@ def test_shake_draws_are_the_generators():
                 i, j = sorted(ref.sample(range(1, n + 1), 2))
                 return {0: (trip[:i] + trip[i:j + 1][::-1] + trip[j + 1:],)}
             check(Solution(amrs=((trip,),)), seed, reversal)
+
+
+def _exchange(sol, flat, draw):
+    """The tail exchange ``draw`` of ``sol``, built and normalized in full."""
+    i, j, c1, c2 = draw
+    (a1, t1, trip1, _), (a2, t2, trip2, _) = flat[i], flat[j]
+    lists = [list(amr) for amr in sol.amrs]
+    lists[a1][t1] = trip1[:c1 + 1] + trip2[c2 + 1:]
+    lists[a2][t2] = trip2[:c2 + 1] + trip1[c1 + 1:]
+    return normalize_solution(lists)
+
+
+def test_shake_bound_is_strictly_below_every_exchange(hospital12_path,
+                                                      hospital64_path):
+    """The O(1) bound of every tail exchange of random plans is strictly
+    below the objective solution_cost gives the built candidate: on the
+    shipped instances and random plain and tight-battery ones, with one-trip
+    AMRs an exchange can empty, and with xi2 = 0."""
+    rng = random.Random(41)
+    insts = [load_instance(path) for path in (hospital12_path, hospital64_path)]
+    insts += [random_instance(rng, rng.randint(2, 9), tight_battery=case % 2 == 1)
+              for case in range(16)]
+    insts += [dataclasses.replace(inst, cost=dataclasses.replace(
+        inst.cost, per_meter=0.0)) for inst in insts[:6]]
+    checked = emptied = 0
+    for inst in insts:
+        for _ in range(2):
+            sol = random_solution(rng, inst)
+            flat = _shake_trips(sol)
+            draws = [(i, j, c1, c2)
+                     for i, (_, _, trip1, _) in enumerate(flat)
+                     for j, (_, _, trip2, _) in enumerate(flat) if i != j
+                     for c1 in range(len(trip1) - 1)
+                     for c2 in range(len(trip2) - 1)]
+            bounds = _shake_bounds(inst, sol, flat, draws, solution_cost(inst, sol))
+            for (bound, _, _), draw in zip(bounds, draws):
+                cand = _exchange(sol, flat, draw)
+                assert bound < solution_cost(inst, cand).objective, (draw, sol)
+                checked += 1
+                emptied += len(cand.amrs) < len(sol.amrs)
+    assert checked > 20_000 and emptied > 500
+
+
+def test_shake_below_gates_the_pick(hospital12_path, hospital64_path):
+    """With ``below=T`` the shake returns reference_shake's pick when the
+    pick's shake cost is under T and ``sol`` itself otherwise, for T one ulp
+    above the pick's score, at it and one ulp below; the generator ends
+    where the reference leaves it."""
+    rng = random.Random(43)
+    cases = []
+    for case in range(24):
+        inst = random_instance(rng, rng.randint(2, 9), tight_battery=case % 2 == 1)
+        if case % 3 == 2:   # whole-number costs: ties everywhere
+            inst = dataclasses.replace(
+                inst, cost=dataclasses.replace(inst.cost, per_meter=0.0))
+        cases.append((inst, random_solution(rng, inst)))
+    for path in (hospital12_path, hospital64_path):
+        inst = load_instance(path)
+        cases.append((inst, feasible_operation(
+            inst, greedy_initial(inst, random.Random(0)))))
+        cases.append((inst, random_solution(rng, inst)))
+    gated = 0
+    for inst, sol in cases:
+        for seed in range(3):
+            ref = random.Random(seed)
+            pick, built = reference_shake(inst, sol, ref)
+            if not built:
+                continue
+            score = shake_cost(inst, solution_cost(inst, pick))
+            for below, expected in ((math.nextafter(score, math.inf), pick),
+                                    (score, sol),
+                                    (math.nextafter(score, -math.inf), sol)):
+                picked_rng = random.Random(seed)
+                out = shake_2opt_l(inst, sol, picked_rng, below=below)
+                assert out == expected
+                assert expected is pick or out is sol
+                assert picked_rng.getstate() == ref.getstate()
+                gated += 1
+    assert gated > 200
 
 
 def test_shake_stores_only_stopped_walks(hospital12_path, hospital64_path):

@@ -3,6 +3,7 @@ import json
 import math
 import random
 import time
+from collections import Counter
 
 import pytest
 
@@ -10,8 +11,9 @@ from amrsched.model import DEPOT, Solution, load_instance, solution_from_ids
 from amrsched.evaluation import evaluate_solution, solution_cost, solution_to_dict
 from amrsched.vns import (feasible_operation, greedy_initial, local_search,
                           shaking, solve)
-from amrsched.operators import shake_2opt_l
-from helpers import battery_starved_payload, paper_optimum, random_instance
+from amrsched.operators import shake_2opt_l, shake_cost
+from helpers import (battery_starved_payload, paper_optimum, random_instance,
+                     random_solution, reference_shake)
 
 
 def test_greedy_single_request():
@@ -91,6 +93,35 @@ def test_shaking_delta_rule(hospital12):
                      random.Random(seed))
     assert accept == x_s
     assert reject == x_l
+
+
+def test_shaking_is_the_shake_then_the_delta_gate(hospital12):
+    """shaking returns what the two-step rule gives, reference_shake's pick
+    kept when its shake cost is under delta times x_l's and x_l otherwise,
+    on 200 random (plan, seed, delta) cases, half of them a solver's best
+    plan; the generator ends where the reference leaves it."""
+    rng = random.Random(53)
+    insts = [hospital12] + [random_instance(rng, rng.randint(2, 16),
+                                            tight_battery=case % 2 == 1)
+                            for case in range(9)]
+    verdicts = Counter()
+    for case in range(200):
+        inst = insts[case % len(insts)]
+        inst = dataclasses.replace(inst, cost=dataclasses.replace(
+            inst.cost, shake_delta=rng.uniform(1.0001, 1.02)))
+        x_l = random_solution(rng, inst)
+        if case % 2:    # a solver's best, which many shakes make worse
+            x_l = solve(inst, 20, seed=case)[0]
+        seed = rng.randrange(1 << 30)
+        ref = random.Random(seed)
+        x_s, _ = reference_shake(inst, x_l, ref)
+        kept = (shake_cost(inst, solution_cost(inst, x_s))
+                < shake_cost(inst, solution_cost(inst, x_l)) * inst.cost.shake_delta)
+        got_rng = random.Random(seed)
+        assert shaking(inst, x_l, got_rng) == (x_s if kept else x_l)
+        assert got_rng.getstate() == ref.getstate()
+        verdicts["kept" if kept else "rejected"] += 1
+    assert verdicts["kept"] > 20 and verdicts["rejected"] > 20, verdicts
 
 
 def test_feasible_operation_splits_overload():
