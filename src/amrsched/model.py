@@ -557,8 +557,8 @@ def normalize_solution(amrs: Iterable[Iterable[Trip]]) -> Solution:
 def solution_from_ids(inst: Instance, amrs: Sequence[Sequence[Sequence]]) -> Solution:
     """Build a Solution from request-id trip lists, e.g. [[[1, 3, 6, 7], [9, 11, 10]]].
 
-    Entries may be request ids, 'd' (ignored at trip ends), or 'c'/'c<k>' for
-    charging stations.
+    Entries may be request ids, 'd' (allowed only at either end of a trip),
+    or 'c'/'c<k>' for charging stations.
     """
     out = []
     for amr in amrs:
@@ -568,13 +568,16 @@ def solution_from_ids(inst: Instance, amrs: Sequence[Sequence[Sequence]]) -> Sol
         for body in amr:
             if not isinstance(body, (list, tuple)):
                 raise StructuralError(f"trip {body!r} is not a list of stops")
-            nodes = [DEPOT]
-            for item in body:
-                nodes.append(_node_from_token(inst, item))
-            nodes.append(DEPOT)
+            nodes = [_node_from_token(inst, item) for item in body]
             # tolerate explicit depots at the ends of the given body
-            inner = [n for n in nodes[1:-1] if n != DEPOT]
-            trips.append(tuple([DEPOT] + inner + [DEPOT]))
+            if nodes[:1] == [DEPOT]:
+                del nodes[0]
+            if nodes[-1:] == [DEPOT]:
+                del nodes[-1]
+            trip = (DEPOT, *nodes, DEPOT)
+            if DEPOT in nodes:
+                raise StructuralError(f"trip {trip} has an interior depot")
+            trips.append(trip)
         out.append(trips)
     return normalize_solution(out)
 

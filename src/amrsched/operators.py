@@ -36,13 +36,17 @@ def _request_positions(inst: Instance, amrs) -> list[tuple[int, int, int]]:
     return out
 
 
-def _position_of(amrs, node: int) -> tuple[int, int, int]:
-    for a, amr in enumerate(amrs):
-        for t, trip in enumerate(amr):
-            for i, n in enumerate(trip):
-                if n == node:
-                    return a, t, i
-    raise StructuralError(f"node {node} not present in solution")
+def _violator_at(lists, positions, evaluation, rng):
+    """Position of a violating request of ``evaluation``, drawn with ``rng``
+    when there are several; None when nothing violates."""
+    viol = evaluation.violating
+    if not viol:
+        return None
+    v = viol[rng.randrange(len(viol))] if len(viol) > 1 else viol[0]
+    for a, t, i in positions:
+        if lists[a][t][i] == v:
+            return a, t, i
+    raise StructuralError(f"node {v} not present in solution")
 
 
 # ---------------------------------------------------------------------------
@@ -62,24 +66,19 @@ def swap_star(inst: Instance, sol: Solution, evaluation, rng: random.Random) -> 
     positions = _request_positions(inst, lists)
     if len(positions) < 2:
         return sol
-    viol = evaluation.violating
-    if viol:
-        v = viol[rng.randrange(len(viol))] if len(viol) > 1 else viol[0]
-        va, vt, vi = _position_of(lists, v)
-        h_v = inst.window_close[v]
-        partner = _loosest_partner(inst, lists, (va, vt), v, h_v)
-        if partner is not None:
-            pa, pt, pi = partner
-            lists[va][vt][vi], lists[pa][pt][pi] = lists[pa][pt][pi], lists[va][vt][vi]
-            return normalize_solution(lists)
-    i, j = rng.sample(range(len(positions)), 2)
-    (a1, t1, i1), (a2, t2, i2) = positions[i], positions[j]
+    at = _violator_at(lists, positions, evaluation, rng)
+    partner = _loosest_partner(inst, lists, positions, at) if at else None
+    if partner:
+        pairs = [at, partner]
+    else:
+        pairs = [positions[k] for k in rng.sample(range(len(positions)), 2)]
+    (a1, t1, i1), (a2, t2, i2) = pairs
     lists[a1][t1][i1], lists[a2][t2][i2] = lists[a2][t2][i2], lists[a1][t1][i1]
     return normalize_solution(lists)
 
 
-def _loosest_partner(inst, lists, home, v_node, h_v):
-    """Swap partner for a violating request.
+def _loosest_partner(inst, lists, positions, at):
+    """Swap partner for the violating request at ``at``.
 
     Same trip first: the earliest looser-close request ahead of the violator
     (swapping with it moves the violator in front of every opening that is
@@ -87,30 +86,18 @@ def _loosest_partner(inst, lists, home, v_node, h_v):
     predecessor the loosest close on any other trip wins, smallest id on
     ties; None means no looser partner exists anywhere.
     """
-    va, vt = home
+    va, vt, vi = at
     trip = lists[va][vt]
-    v_pos = trip.index(v_node)
-    n = inst.n_requests
-    for i, node in enumerate(trip[:v_pos]):
-        if 1 <= node <= n and inst.window_close[node] > h_v:
+    close, n = inst.window_close, inst.n_requests
+    h_v = close[trip[vi]]
+    for i in range(1, vi):
+        if 1 <= trip[i] <= n and close[trip[i]] > h_v:
             return va, vt, i
-    best = None
-    best_key = None
-    for a, amr in enumerate(lists):
-        for t, other in enumerate(amr):
-            if a == va and t == vt:
-                continue
-            for i, node in enumerate(other):
-                if not 1 <= node <= n:
-                    continue
-                h = inst.window_close[node]
-                if h <= h_v:
-                    continue
-                key = (-h, inst.request_at(node).id)
-                if best_key is None or key < best_key:
-                    best_key = key
-                    best = (a, t, i)
-    return best
+    best = min(((-close[node], inst.request_at(node).id, (a, t, i))
+                for a, t, i in positions
+                if (a != va or t != vt) and close[node := lists[a][t][i]] > h_v),
+               default=None)
+    return best[2] if best else None
 
 
 def two_opt_star(inst: Instance, sol: Solution, evaluation,
@@ -122,44 +109,35 @@ def two_opt_star(inst: Instance, sol: Solution, evaluation,
     is reversed.
     """
     lists = _to_lists(sol)
-    run = _decreasing_run(inst, lists)
-    if run is not None:
-        a, t, i, j = run
-        lists[a][t][i:j + 1] = reversed(lists[a][t][i:j + 1])
-        return normalize_solution(lists)
     n = inst.n_requests
-    eligible = [
-        (a, t)
-        for a, amr in enumerate(lists)
-        for t, trip in enumerate(amr)
-        if sum(1 for node in trip if 1 <= node <= n) >= 2
-    ]
-    if not eligible:
-        return sol
-    a, t = eligible[rng.randrange(len(eligible))]
-    idxs = [i for i, node in enumerate(lists[a][t]) if 1 <= node <= n]
-    i, j = sorted(rng.sample(idxs, 2))
-    lists[a][t][i:j + 1] = reversed(lists[a][t][i:j + 1])
+    eligible = []       # (trip, its request indices) with two requests or more
+    for trip in itertools.chain.from_iterable(lists):
+        idxs = [i for i, node in enumerate(trip) if 1 <= node <= n]
+        run = _decreasing_run(inst.window_close, trip, idxs)
+        if run is not None:
+            break
+        if len(idxs) >= 2:
+            eligible.append((trip, idxs))
+    else:               # no run: a random span of a random eligible trip
+        if not eligible:
+            return sol
+        trip, idxs = eligible[rng.randrange(len(eligible))]
+        run = sorted(rng.sample(idxs, 2))
+    i, j = run
+    trip[i:j + 1] = reversed(trip[i:j + 1])
     return normalize_solution(lists)
 
 
-def _decreasing_run(inst, lists):
-    """First maximal same-trip request run with strictly decreasing window
-    close, as (amr, trip, first_index, last_index); None when absent."""
-    n = inst.n_requests
-    for a, amr in enumerate(lists):
-        for t, trip in enumerate(amr):
-            idxs = [i for i, node in enumerate(trip) if 1 <= node <= n]
-            run_start = 0
-            for k in range(1, len(idxs) + 1):
-                ended = k == len(idxs) or not (
-                    inst.window_close[trip[idxs[k]]]
-                    < inst.window_close[trip[idxs[k - 1]]]
-                )
-                if ended:
-                    if k - run_start >= 2:
-                        return a, t, idxs[run_start], idxs[k - 1]
-                    run_start = k
+def _decreasing_run(close, trip, idxs):
+    """First maximal run of ``trip``'s request indices ``idxs`` with strictly
+    decreasing window close, as (first_index, last_index); None when absent."""
+    for k in range(1, len(idxs)):
+        if close[trip[idxs[k]]] < close[trip[idxs[k - 1]]]:
+            last = k
+            while (last + 1 < len(idxs)
+                   and close[trip[idxs[last + 1]]] < close[trip[idxs[last]]]):
+                last += 1
+            return idxs[k - 1], idxs[last]
     return None
 
 
@@ -175,12 +153,12 @@ def relocation_star(inst: Instance, sol: Solution, evaluation,
     positions = _request_positions(inst, lists)
     if len(positions) < 2:
         return sol
-    viol = evaluation.violating
-    if viol:
-        v = viol[rng.randrange(len(viol))] if len(viol) > 1 else viol[0]
-        va, vt, vi = _position_of(lists, v)
-        h_v = inst.window_close[v]
+    at = _violator_at(lists, positions, evaluation, rng)
+    if at is not None:
+        va, vt, vi = at
         trip = lists[va][vt]
+        v = trip[vi]
+        h_v = inst.window_close[v]
         target = next(
             (i for i, n in enumerate(trip)
              if inst.is_request(n) and n != v and inst.window_close[n] > h_v),

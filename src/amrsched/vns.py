@@ -2,11 +2,12 @@
 
 The loop follows the classic scheme: build a greedy covering solution, make
 it feasible (capacity/battery repairs plus AMR merging), then iterate
-local search -> feasibility pipeline -> shake, keeping the incumbent only
-when the penalized cost of the shaken solution beats the best seen so far.
+local search -> feasibility pipeline -> shake.  The delta-gated shake always
+becomes the next working solution; the best solution moves only on a strict
+zero-penalty improvement, by the repaired local optimum or the shaken plan.
 The returned best solution always carries zero penalty; when no zero-penalty
-solution is ever reached the least-penalized one is returned and flagged by
-its evaluation.
+solution is ever reached the least-penalized one of those plans is returned
+and flagged by its evaluation.
 
 Runs are fully deterministic for a fixed (instance, iterations, seed).
 """
@@ -188,22 +189,14 @@ def solve(inst: Instance, max_iterations: int, seed: int = 0,
     history: list[float] = []
 
     for n in range(1, max_iterations + 1):
-        x_l = local_search(inst, x, rng)
-        x_l = feasible_operation(inst, x_l)
-        cl = solution_cost(inst, x_l)
-        if cl.feasible and cl.objective < best_objective:
-            best = x_l
-            best_objective = cl.objective
-        # The delta-accepted shake is the next working solution; the best
-        # solution only moves on a strict zero-penalty improvement.
-        x = shaking(inst, x_l, rng)
-        cp = solution_cost(inst, x)
-        if cp.penalized < least_pen:
-            least_pen = cp.penalized
-            least_pen_sol = x
-        if cp.feasible and cp.objective < best_objective:
-            best = x
-            best_objective = cp.objective
+        x_l = feasible_operation(inst, local_search(inst, x, rng))
+        x = shaking(inst, x_l, rng)     # the next working solution
+        for y in (x_l, x):
+            cp = solution_cost(inst, y)
+            if cp.penalized < least_pen:
+                least_pen, least_pen_sol = cp.penalized, y
+            if cp.feasible and cp.objective < best_objective:
+                best, best_objective = y, cp.objective
         history.append(best_objective)
         if on_iteration is not None:
             on_iteration(n, best_objective, cp.penalized)

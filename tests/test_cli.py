@@ -247,6 +247,9 @@ def test_solve_unrepairable_battery_exit_code(tmp_path, capsys):
     ("validate", '{"amrs": [{"trips": [5]}]}'),  # trip body not a list
     ("validate", '{"amrs": [{"trips": [[{}]]}]}'),  # stop not an id
     ("validate", '{"amrs": [{"trips": [[1e400]]}]}'),  # inf stop
+    # every request served, but a 'd' inside a trip: refused, not dropped
+    ("validate", '{"amrs": [{"trips": [[1, 3, 6, 7, "d", 9, 11, 10]]}, '
+                 '{"trips": [[4, 2, 5, 8, 12]]}]}'),
     # "instance": hospital12 with one field set; the error names the field
     ("instance", "requests = 5"),
     ("instance", "requests.0 = 5"),

@@ -254,6 +254,14 @@ def test_solution_from_ids_rejects_bad_shape(hospital12, amrs):
         solution_from_ids(hospital12, amrs)
 
 
+@pytest.mark.parametrize("body", [[1, "d", 2], ["d", "d", 1], [1, "d", "d"]])
+def test_solution_from_ids_rejects_interior_depot(hospital12, body):
+    """'d' may stand only at a trip's ends: one inside is refused, not
+    dropped, so the plan read is the plan in the file."""
+    with pytest.raises(StructuralError, match="has an interior depot"):
+        solution_from_ids(hospital12, [[body]])
+
+
 def test_solution_from_ids_round_trip(hospital12):
     sol = solution_from_ids(hospital12, [[[1, 3, "c", 6]], [["d", 4, 2, "d"]]])
     labels = [[hospital12.node_label(n) for n in t] for amr in sol.amrs for t in amr]

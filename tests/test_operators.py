@@ -62,6 +62,23 @@ def test_swap_star_single_request_unchanged():
     assert swap_star(inst, sol, solution_cost(inst, sol), rng) == sol
 
 
+def test_swap_star_cross_trip_fallback_takes_loosest_smallest_id(hospital12):
+    inst = hospital12
+    # Request 1 is late only through its chained trip and leads that trip,
+    # so no same-trip partner exists.  Requests 7-12 share the loosest close
+    # (11:00): 12 comes first in the plan and 5 (8:50) has a smaller id, but
+    # the smallest id among the loosest, 7, takes the swap.
+    sol = solution_from_ids(inst, [[[12], [1]], [[2, 3]], [[4]], [[5, 6]],
+                                   [[11, 10]], [[9, 8, 7]]])
+    ev = solution_cost(inst, sol)
+    assert ev.violating == (inst.node_of_id[1],)
+    rng = random.Random(0)
+    out = swap_star(inst, sol, ev, rng)
+    assert out == solution_from_ids(inst, [[[12], [7]], [[2, 3]], [[4]],
+                                           [[5, 6]], [[11, 10]], [[9, 8, 1]]])
+    assert rng.random() == random.Random(0).random()   # a lone violator: no draw
+
+
 def _position(inst, sol, rid):
     node = inst.node_of_id[rid]
     for a, amr in enumerate(sol.amrs):
@@ -84,6 +101,17 @@ def test_two_opt_star_reverses_decreasing_run(hospital12):
     labels = [inst.node_label(n) for n in out.amrs[0][0]]
     assert labels == ["d", "1", "5", "9", "d"]
     assert request_multiset(inst, out) == request_multiset(inst, sol)
+
+
+def test_two_opt_star_reverses_first_run_in_plan_order(hospital12):
+    inst = hospital12
+    # 9 -> 5 (AMR 0, trip 1) comes before the longer run 10 -> 6 -> 1 on
+    # AMR 1; equal closes (2, 3, 4) are no run.
+    sol = solution_from_ids(inst, [[[2, 3, 4], [9, 5]], [[10, 6, 1]],
+                                   [[7, 8, 11, 12]]])
+    out = two_opt_star(inst, sol, solution_cost(inst, sol), random.Random(0))
+    assert out == solution_from_ids(inst, [[[2, 3, 4], [5, 9]], [[10, 6, 1]],
+                                           [[7, 8, 11, 12]]])
 
 
 def test_two_opt_star_random_reversal_of_adjacent_pair():
@@ -728,10 +756,12 @@ def test_swap_star_targeted_removes_forbidden_pair(hospital12):
 
 def test_swap_star_targeted_clears_hard_pairs_random_sweep():
     """Whenever the targeted branch picks a violator with a hard-ordering
-    cause on its own trip, the move leaves none of those causes ahead of it."""
+    cause on its own trip, the move leaves none of those causes ahead of it.
+    A violator with no looser request ahead of it swaps with the loosest
+    close on any other trip, smallest id on ties."""
     import dataclasses
     rng = random.Random(2)
-    fired = 0
+    fired = fell_back = 0
     for _ in range(300):
         inst = random_instance(rng, rng.randint(3, 8))
         nodes = list(range(1, inst.n_requests + 1))
@@ -753,9 +783,19 @@ def test_swap_star_targeted_clears_hard_pairs_random_sweep():
         has_same_trip_partner = any(
             inst.is_request(n) and inst.window_close[n] > inst.window_close[v]
             for n in home[:home.index(v)])
-        if not has_same_trip_partner:
-            continue  # cross-trip fallback: the guarantee is out of scope
         out = swap_star(inst, sol, ev, random.Random(pick_seed))
+        if not has_same_trip_partner:
+            looser = [(-inst.window_close[n], inst.request_at(n).id, n)
+                      for t in sol.trips() if v not in t for n in t
+                      if inst.is_request(n)
+                      and inst.window_close[n] > inst.window_close[v]]
+            if looser:
+                flat = [n for t in sol.trips() for n in t]
+                i, j = flat.index(v), flat.index(min(looser)[2])
+                flat[i], flat[j] = flat[j], flat[i]
+                assert [n for t in out.trips() for n in t] == flat
+                fell_back += 1
+            continue
         trip = next(t for t in out.trips() if v in t)
         vi = trip.index(v)
         ahead = [n for n in trip[1:vi] if inst.is_request(n)]
@@ -763,3 +803,4 @@ def test_swap_star_targeted_clears_hard_pairs_random_sweep():
                    for n in ahead), "hard-ordering cause left ahead"
         fired += 1
     assert fired > 30
+    assert fell_back > 30

@@ -9,6 +9,7 @@ import pytest
 
 from amrsched.model import DEPOT, Solution, load_instance, solution_from_ids
 from amrsched.evaluation import evaluate_solution, solution_cost, solution_to_dict
+from amrsched import vns
 from amrsched.vns import (feasible_operation, greedy_initial, local_search,
                           shaking, solve)
 from amrsched.operators import shake_2opt_l, shake_cost
@@ -198,6 +199,35 @@ def test_solve_reports_infeasible_when_hopeless():
     sol, ev, _ = solve(inst, 30, seed=0)
     assert not ev.feasible
     assert ev.penalized > ev.objective
+
+
+def test_solve_returns_least_penalized_repaired_plan(monkeypatch):
+    """No plan the feasibility pipeline hands back beats the returned one:
+    its penalized cost when the run never reaches zero penalty, else its
+    objective among the zero-penalty plans."""
+    infeasible_runs = 0
+    for case in range(40):
+        rng = random.Random(case)
+        inst = random_instance(rng, rng.randint(4, 9))
+        reqs = tuple(dataclasses.replace(r, window_close=r.window_open + 1)
+                     for r in inst.requests)
+        inst = dataclasses.replace(inst, requests=reqs)
+        repaired = []
+
+        def recorded(inst, x, repair=vns.feasible_operation):
+            repaired.append(repair(inst, x))
+            return repaired[-1]
+
+        with monkeypatch.context() as patch:
+            patch.setattr(vns, "feasible_operation", recorded)
+            sol, ev, _ = solve(inst, 60, seed=case)
+        costs = [solution_cost(inst, x) for x in repaired]
+        if ev.feasible:
+            costs = [c for c in costs if c.feasible]
+        else:
+            infeasible_runs += 1
+        assert solution_cost(inst, sol).penalized <= min(c.penalized for c in costs)
+    assert infeasible_runs >= 2
 
 
 @pytest.mark.parametrize("charger", [True, False])
