@@ -334,37 +334,6 @@ def _fold(inst, amr_costs) -> CostSummary:
                        twv == 0 and flags == 0, m, dist, twv, flags, viol)
 
 
-def _lower_bound(inst, amrs, costs, caches):
-    """What a plan costs before any walk, where every pricing starts:
-    (objective, violations at least, {AMR index: (its distance, its share
-    of that count)} for each AMR still to price).
-
-    ``costs`` holds the plan's records in AMR order, () for a removed AMR and
-    None where no exact record is known; ``amrs[i]`` gives the trips of each
-    such AMR i.  Their distances come from lower-bound records, else from
-    the legs with a share of 0, which is not stored: only a stopped walk
-    leaves a record.  Distances are summed as ``_fold`` sums them, so the
-    objective is the float the full summary gives.
-    """
-    bounds = caches["bound"]
-    m = 0
-    dist = 0.0
-    known = 0
-    floors = {}
-    for i, cost in enumerate(costs):
-        if cost is None:
-            d, floor = floors[i] = bounds.get(amrs[i]) or (
-                _amr_distance(inst, amrs[i]), 0)
-        elif cost:
-            d, floor = cost[0], cost[1] + cost[2] + cost[3]
-        else:
-            continue
-        m += 1
-        dist += d
-        known += floor
-    return _objective(inst, m, dist), known, floors
-
-
 def _violation_budget(objective, rate, below):
     """The largest violation count v with ``objective + rate * v < below``,
     the float test the search makes; -1 when no count passes, ``_MAX_COUNT``
@@ -386,12 +355,37 @@ def _violation_budget(objective, rate, below):
     return lo
 
 
-def _price_within(inst, amrs, costs, caches, known, floors, objective, rate, below):
-    """Fill the None records of ``costs`` (see ``_lower_bound``), walking each
-    such AMR only while ``objective + rate * violations`` may stay under
-    ``below`` (no limit when None).  Returns the filled list, or None once
-    the plan's penalized cost is certain to reach ``below``."""
-    budget = _violation_budget(objective, rate, below)
+def _price_within(inst, amrs, costs, caches, rate, below):
+    """Fill the None records of ``costs``, walking each such AMR only while
+    ``objective + rate * violations`` may stay under ``below`` (no limit
+    when None).  Returns the filled list, or None once the plan's penalized
+    cost is certain to reach ``below``.
+
+    ``costs`` holds the plan's records in AMR order, () for a removed AMR and
+    None where no exact record is known; ``amrs[i]`` gives the trips of each
+    such AMR i.  Before any walk, their distances and violation floors come
+    from lower-bound records, else from the legs with a floor of 0, which is
+    not stored: only a stopped walk leaves a record.  Distances are summed
+    as ``_fold`` sums them, so the objective is the float the full summary
+    gives.
+    """
+    bounds = caches["bound"]
+    m = 0
+    dist = 0.0
+    known = 0
+    floors = {}
+    for i, cost in enumerate(costs):
+        if cost is None:
+            d, floor = floors[i] = bounds.get(amrs[i]) or (
+                _amr_distance(inst, amrs[i]), 0)
+        elif cost:
+            d, floor = cost[0], cost[1] + cost[2] + cost[3]
+        else:
+            continue
+        m += 1
+        dist += d
+        known += floor
+    budget = _violation_budget(_objective(inst, m, dist), rate, below)
     for i, (dist, floor) in floors.items():
         if known > budget:
             return None
@@ -425,9 +419,8 @@ def solution_cost(inst: Instance, sol: Solution,
         # raised an oracle-verify benchmark run's peak RSS from 74 to 81 MiB.
         costs = [caches["amr"].get(trips) for trips in sol.amrs]
         if None in costs:
-            objective, known, floors = _lower_bound(inst, sol.amrs, costs, caches)
-            costs = _price_within(inst, sol.amrs, costs, caches, known, floors,
-                                  objective, inst.cost.tw_penalty, below)
+            costs = _price_within(inst, sol.amrs, costs, caches,
+                                  inst.cost.tw_penalty, below)
             if costs is None:
                 return None
         result = _put(cache, sol.amrs, _fold(inst, costs), _SOL_CACHE_LIMIT)

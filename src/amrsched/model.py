@@ -558,12 +558,16 @@ def solution_from_ids(inst: Instance, amrs: Sequence[Sequence[Sequence]]) -> Sol
     """Build a Solution from request-id trip lists, e.g. [[[1, 3, 6, 7], [9, 11, 10]]].
 
     Entries may be request ids, 'd' (allowed only at either end of a trip),
-    or 'c'/'c<k>' for charging stations.
+    or 'c'/'c<k>' for charging stations.  A trip with no stops and an AMR
+    with no trips are refused, not dropped, so the plan read is the plan
+    given.
     """
     out = []
-    for amr in amrs:
+    for a, amr in enumerate(amrs):
         if not isinstance(amr, (list, tuple)):
             raise StructuralError(f"AMR {amr!r} is not a list of trips")
+        if not amr:
+            raise StructuralError(f"AMR {a} has no trips")
         trips = []
         for body in amr:
             if not isinstance(body, (list, tuple)):
@@ -575,11 +579,13 @@ def solution_from_ids(inst: Instance, amrs: Sequence[Sequence[Sequence]]) -> Sol
             if nodes[-1:] == [DEPOT]:
                 del nodes[-1]
             trip = (DEPOT, *nodes, DEPOT)
+            if not nodes:
+                raise StructuralError(f"trip {trip} has no stops")
             if DEPOT in nodes:
                 raise StructuralError(f"trip {trip} has an interior depot")
             trips.append(trip)
-        out.append(trips)
-    return normalize_solution(out)
+        out.append(tuple(trips))
+    return Solution(amrs=tuple(out))
 
 
 def _node_from_token(inst: Instance, item) -> int:

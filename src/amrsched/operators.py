@@ -14,11 +14,9 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from bisect import insort
 
 from .model import DEPOT, Instance, Solution, StructuralError, normalize_solution
-from .evaluation import (_BATTERY_EPS, _LOAD_EPS, _amr_cost, _fold, _lower_bound,
-                         _price_within)
+from .evaluation import _BATTERY_EPS, _LOAD_EPS, _amr_cost, _fold, _price_within
 
 
 def _to_lists(sol: Solution) -> list[list[list[int]]]:
@@ -339,16 +337,13 @@ def shake_2opt_l(inst: Instance, sol: Solution, rng: random.Random,
     With fewer than two trips the move degrades to a best-of-L random
     intra-trip reversal.
 
-    All L draws come first, each with an O(1) bound (``_shake_bounds``), and
-    leave one queue in ascending order; a candidate is built only while it
-    can still win.  It changes one or two AMRs, so it is scored from the
-    incumbent's per-AMR costs with only those re-priced, and only the winner
-    becomes a plan.  Its lower key is its exact objective xi1*m +
-    xi2*distance plus xi1 (>= 0 on every Instance) times the violations
-    already known, from exact or lower-bound records: its score where its
-    changed AMRs are all cached.  Any other candidate goes back into the
-    queue under that key and is priced, when it comes out, with the budget
-    the best score leaves.
+    All L draws come first, each with an O(1) bound (``_shake_bounds``),
+    and are visited in ascending bound order; since a bound is strictly
+    below its candidate's score, the visit ends at the first bound that
+    reaches the best score.  A candidate changes one or two AMRs, so it is
+    scored from the incumbent's per-AMR costs with only those re-priced,
+    each walked only within the violation budget the best score leaves; only
+    the winner becomes a plan.
     """
     flat = _shake_trips(sol)
     if not flat or len(flat) == 1 and len(flat[0][2]) < 4:
@@ -358,42 +353,24 @@ def shake_2opt_l(inst: Instance, sol: Solution, rng: random.Random,
     rate = inst.cost.fixed_per_amr
     base = [_amr_cost(inst, trips, caches) for trips in sol.amrs]
     draws = _shake_draws(flat, rng.getrandbits, candidates)
-    queue = _shake_bounds(inst, sol, flat, draws, _fold(inst, base))
-    queue.sort()    # draw indices differ: no two entries compare further
 
     # The incumbent itself is not part of the generated neighborhood: the best
     # candidate may be worse, and the delta acceptance rule downstream decides
     # whether the perturbation is kept.
     best = (below, -1)          # (score, draw index) to beat
     winner = None
-    while queue:
-        low, k, keyed = queue.pop(0)
-        if keyed is None:
-            if low >= best[0]:  # the bound is strictly below the score
-                continue
-            change = _shake_change(sol, flat, draws[k])
-            amr_costs = base.copy()
-            for a, trips in change.items():
-                amr_costs[a] = amr_cache.get(trips) if trips else ()
-            objective, known, floors = _lower_bound(inst, change, amr_costs, caches)
-            key = (objective + rate * known, k)
-            if floors:
-                insort(queue, (*key, (objective, known, floors, change, amr_costs)))
-            elif key < best:    # every record is exact: the key is the score
-                best, winner = key, change
-            continue
-        if (low, k) >= best:
-            continue
-        objective, known, floors, change, amr_costs = keyed
+    for bound, k in sorted(_shake_bounds(inst, sol, flat, draws, _fold(inst, base))):
+        if bound >= best[0]:
+            break
+        change = _shake_change(sol, flat, draws[k])
+        amr_costs = base.copy()
+        for a, trips in change.items():
+            amr_costs[a] = amr_cache.get(trips) if trips else ()
         # an earlier draw also wins a tie: the score may equal the best
         limit = best[0] if k > best[1] else math.nextafter(best[0], math.inf)
-        amr_costs = _price_within(inst, change, amr_costs, caches, known,
-                                  floors, objective, rate, limit)
-        if amr_costs is None:
-            continue
-        key = (shake_cost(inst, _fold(inst, amr_costs)), k)
-        if key < best:
-            best, winner = key, change
+        amr_costs = _price_within(inst, change, amr_costs, caches, rate, limit)
+        if amr_costs is not None:   # its score is under the limit: it wins
+            best, winner = (shake_cost(inst, _fold(inst, amr_costs)), k), change
     if winner is None:
         return sol
     amrs = list(sol.amrs)
@@ -403,17 +380,17 @@ def shake_2opt_l(inst: Instance, sol: Solution, rng: random.Random,
 
 
 def _shake_bounds(inst, sol, flat, draws, now):
-    """A queue entry (bound, draw index, None) per shake draw on ``sol``,
-    whose summary is ``now``.  A tail exchange swaps the two legs out of its
-    cuts for the two that cross over and may empty an AMR; its objective
-    from ``now``, less a relative slack for summing the legs in another
-    order, is strictly below the candidate's.  A reversal gets -inf."""
+    """A (bound, draw index) pair per shake draw on ``sol``, whose summary
+    is ``now``.  A tail exchange swaps the two legs out of its cuts for the
+    two that cross over and may empty an AMR; its objective from ``now``,
+    less a relative slack for summing the legs in another order, is strictly
+    below the candidate's, and so below its score.  A reversal gets -inf."""
     rate, per_meter = inst.cost.fixed_per_amr, inst.cost.per_meter
     dmat, amrs, m, dist = inst.distance, sol.amrs, now.m, now.distance
-    queue = []
+    bounds = []
     for k, draw in enumerate(draws):
         if len(draw) == 2:
-            queue.append((-math.inf, k, None))
+            bounds.append((-math.inf, k))
             continue
         i, j, c1, c2 = draw
         a1, _, trip1, _ = flat[i]
@@ -427,8 +404,8 @@ def _shake_bounds(inst, sol, flat, draws, now):
             dist - dmat[u1][v1] - dmat[u2][v2] + added)
         # far above the rounding of summing up to millions of legs anew
         slack = 1e-9 * (now.objective + per_meter * added)
-        queue.append((math.nextafter(low - slack, -math.inf), k, None))
-    return queue
+        bounds.append((math.nextafter(low - slack, -math.inf), k))
+    return bounds
 
 
 def _shake_trips(sol):

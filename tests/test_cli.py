@@ -247,6 +247,12 @@ def test_solve_unrepairable_battery_exit_code(tmp_path, capsys):
     ("validate", '{"amrs": [{"trips": [5]}]}'),  # trip body not a list
     ("validate", '{"amrs": [{"trips": [[{}]]}]}'),  # stop not an id
     ("validate", '{"amrs": [{"trips": [[1e400]]}]}'),  # inf stop
+    # the paper optimum with an empty trip and an AMR with no trips: refused,
+    # not read as a plan of fewer AMRs
+    ("validate", '{"amrs": [{"trips": [[1, 3, 6, 7], [], [9, 11, 10]]}, '
+                 '{"trips": [[4, 2, 5, 8, 12]]}]}'),
+    ("validate", '{"amrs": [{"trips": [[1, 3, 6, 7], [9, 11, 10]]}, '
+                 '{"trips": [[4, 2, 5, 8, 12]]}, {"trips": []}]}'),
     # every request served, but a 'd' inside a trip: refused, not dropped
     ("validate", '{"amrs": [{"trips": [[1, 3, 6, 7, "d", 9, 11, 10]]}, '
                  '{"trips": [[4, 2, 5, 8, 12]]}]}'),

@@ -262,6 +262,21 @@ def test_solution_from_ids_rejects_interior_depot(hospital12, body):
         solution_from_ids(hospital12, [[body]])
 
 
+@pytest.mark.parametrize("amrs, message", [
+    ([[[1, 3, 6, 7], [], [9, 11, 10]], [[4, 2, 5, 8, 12]]], "has no stops"),
+    ([[[1, 3, 6, 7], ["d"], [9, 11, 10]], [[4, 2, 5, 8, 12]]], "has no stops"),
+    ([[[1, 3, 6, 7], [9, 11, 10]], [[4, 2, 5, 8, 12]], [["d", "d"]]],
+     "has no stops"),
+    ([[[1, 3, 6, 7], [9, 11, 10]], [[4, 2, 5, 8, 12]], []], "AMR 2 has no trips"),
+])
+def test_solution_from_ids_rejects_empty_trip_or_amr(hospital12, amrs, message):
+    """An empty trip or AMR is refused with check_solution_structure's
+    wording, not dropped: each plan here would otherwise read as the paper
+    optimum with fewer AMRs or trips than given."""
+    with pytest.raises(StructuralError, match=message):
+        solution_from_ids(hospital12, amrs)
+
+
 def test_solution_from_ids_round_trip(hospital12):
     sol = solution_from_ids(hospital12, [[[1, 3, "c", 6]], [["d", 4, 2, "d"]]])
     labels = [[hospital12.node_label(n) for n in t] for amr in sol.amrs for t in amr]

@@ -494,13 +494,31 @@ def test_shake_picks_minimum_of_its_candidates(hospital12_path, hospital64_path)
                 sum(len(amr) for amr in c.amrs) < n_trips for c in built)
             seen["emptied amr"] += any(len(c.amrs) < len(sol.amrs) for c in built)
             seen["picked fewer amrs"] += len(picked.amrs) < len(sol.amrs)
-    assert len(seen) == 7 and all(seen.values()), seen
+            seen["tie priced later draw first"] += _tie_priced_later_first(
+                inst, sol, seed, size, built)
+    assert len(seen) == 8 and all(seen.values()), seen
     # and the pick can never beat the globally best tail exchange
     inst = load_instance(hospital12_path)
     sol = feasible_operation(inst, greedy_initial(inst, random.Random(0)))
     picked = shake_2opt_l(inst, sol, random.Random(123), candidates=20)
     global_best = _enumerate_all_tail_exchanges(inst, sol)
     assert shake_cost(inst, solution_cost(inst, picked)) >= global_best - 1e-9
+
+
+def _tie_priced_later_first(inst, sol, seed, size, built):
+    """Whether the shake's bound order visits a later draw that ties the
+    first-drawn minimum before that minimum: only the limit one ulp above
+    the best score then lets the earlier draw win."""
+    if not built:
+        return False
+    scores = [shake_cost(inst, solution_cost(inst, c)) for c in built]
+    first = scores.index(min(scores))
+    flat = _shake_trips(sol)
+    draws = _shake_draws(flat, random.Random(seed).getrandbits, size)
+    order = [k for _, k in sorted(
+        _shake_bounds(inst, sol, flat, draws, solution_cost(inst, sol)))]
+    return any(scores[k] == scores[first]
+               for k in order[:order.index(first)] if k > first)
 
 
 def test_memos_capped_at_three_change_no_cost_and_no_shake(monkeypatch):
@@ -620,7 +638,7 @@ def test_shake_bound_is_strictly_below_every_exchange(hospital12_path,
                      for c1 in range(len(trip1) - 1)
                      for c2 in range(len(trip2) - 1)]
             bounds = _shake_bounds(inst, sol, flat, draws, solution_cost(inst, sol))
-            for (bound, _, _), draw in zip(bounds, draws):
+            for (bound, _), draw in zip(bounds, draws):
                 cand = _exchange(sol, flat, draw)
                 assert bound < solution_cost(inst, cand).objective, (draw, sol)
                 checked += 1
@@ -668,8 +686,8 @@ def test_shake_below_gates_the_pick(hospital12_path, hospital64_path):
 
 def test_shake_stores_only_stopped_walks(hospital12_path, hospital64_path):
     """On cold memos the shake adds lower-bound records only where a walk
-    stopped, each with a violation floor of at least 1: keying a candidate
-    stores nothing."""
+    stopped, each with a violation floor of at least 1: reading a
+    candidate's distance from its legs stores nothing."""
     rng = random.Random(5)
     cases = [(load_instance(path), seed)
              for path in (hospital12_path, hospital64_path) for seed in range(2)]
