@@ -18,6 +18,7 @@ import math
 import numbers
 import re
 from dataclasses import MISSING, dataclass, field, fields, replace
+from functools import cache
 from pathlib import Path
 from statistics import NormalDist
 from typing import Iterable, Sequence
@@ -52,20 +53,52 @@ class Gaussian:
     variance: float
 
 
+def _number(value, path: str) -> float:
+    """A JSON number as a float (a bool is not one); InstanceError naming
+    ``path`` otherwise."""
+    if type(value) in (int, float):
+        try:
+            return float(value)
+        except OverflowError:
+            pass
+    raise InstanceError(f"{path} must be a number")
+
+
+def _integer(value, path: str) -> int:
+    """A whole JSON number that a float holds, as an int."""
+    if type(value) in (int, float):
+        try:
+            if float(value).is_integer():
+                return int(value)
+        except OverflowError:
+            pass
+    raise InstanceError(f"{path} must be an integer")
+
+
+def _time(value, path: str) -> float:
+    try:
+        return parse_time(value)
+    except (InstanceError, OverflowError):
+        raise InstanceError(
+            f"{path} must be seconds or a clock time H:MM[:SS]") from None
+
+
+def _param(key: str, rule, default=MISSING, read=_number):
+    """A field of an instance record, declared once: the loader reads its JSON
+    key with ``read``; the validator, serializer and CLI read its key, range
+    rule (None: no range) and default here."""
+    return field(default=default, metadata={"key": key, "rule": rule, "read": read})
+
+
 @dataclass(frozen=True)
 class Request:
-    id: int
-    demand: float
-    window_open: float
-    window_close: float
-    service: Gaussian
-    floor: int
-
-
-def _param(key: str, rule, default=MISSING):
-    """A scalar instance parameter, declared once: the loader, validator,
-    serializer and CLI all read its JSON key, range rule and default here."""
-    return field(default=default, metadata={"key": key, "rule": rule})
+    id: int = _param("id", None, read=_integer)
+    demand: float = _param("demand", POSITIVE)
+    window_open: float = _param("window[0]", TIME, read=_time)
+    window_close: float = _param("window[1]", TIME, read=_time)
+    service_mean: float = _param("service_mean", TIME)
+    service_var: float = _param("service_var", TIME_VAR)
+    floor: int = _param("floor", None, read=_integer)
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -147,18 +180,11 @@ class Instance:
         self.charging_nodes = tuple(range(n + 1, self.n_nodes))
         # Per-node request attributes; zeros for depot/charging keep the hot
         # evaluation loop branch-light.
-        self.window_open = [0.0] * self.n_nodes
-        self.window_close = [0.0] * self.n_nodes
-        self.service_mean = [0.0] * self.n_nodes
-        self.service_var = [0.0] * self.n_nodes
-        self.demand = [0.0] * self.n_nodes
-        for i, r in enumerate(self.requests):
-            node = 1 + i
-            self.window_open[node] = float(r.window_open)
-            self.window_close[node] = float(r.window_close)
-            self.service_mean[node] = float(r.service.mean)
-            self.service_var[node] = float(r.service.variance)
-            self.demand[node] = float(r.demand)
+        pad = [0.0] * len(self.charging_floors)
+        for name in ("window_open", "window_close", "service_mean", "service_var",
+                     "demand"):
+            column = (float(getattr(r, name)) for r in self.requests)
+            setattr(self, name, [0.0, *column, *pad])
         st = self.stoch
         v = self.amr.speed
         self.travel_mean = [
@@ -249,7 +275,7 @@ def load_instance(source, format: str = "json", profile: str = "small") -> Insta
     if format == "json":
         try:
             data = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:  # also an over-long int
             raise InstanceError(f"instance JSON does not parse: {exc}") from exc
         return _instance_from_dict(data)
     if format == "solomon":
@@ -292,37 +318,6 @@ def _list(value, path: str) -> list:
     return value
 
 
-def _number(value, path: str) -> float:
-    """A JSON number as a float (a bool is not one); InstanceError naming
-    ``path`` otherwise."""
-    if type(value) in (int, float):
-        try:
-            return float(value)
-        except OverflowError:
-            pass
-    raise InstanceError(f"{path} must be a number")
-
-
-def _integer(value, path: str) -> int:
-    if type(value) is int:
-        return value
-    if type(value) is float and value.is_integer():
-        return int(value)
-    raise InstanceError(f"{path} must be an integer")
-
-
-def _time(value, path: str) -> float:
-    try:
-        return parse_time(value)
-    except (InstanceError, OverflowError):
-        raise InstanceError(
-            f"{path} must be seconds or a clock time H:MM[:SS]") from None
-
-
-def _field(data, key: str, path: str, default=MISSING) -> float:
-    return _number(_get(data, key, path, default), f"{path}.{key}")
-
-
 def _matrix(rows, name: str) -> tuple[tuple[float, ...], ...]:
     out = []
     for i, row in enumerate(_list(rows, name)):
@@ -345,17 +340,8 @@ def _instance_from_dict(data) -> Instance:
         window = _get(rd, "window", path)
         if not isinstance(window, (list, tuple)) or len(window) != 2:
             raise InstanceError(f"{path}.window must be [open, close]")
-        requests.append(
-            Request(
-                id=_integer(_get(rd, "id", path), f"{path}.id"),
-                demand=_field(rd, "demand", path),
-                window_open=_time(window[0], f"{path}.window[0]"),
-                window_close=_time(window[1], f"{path}.window[1]"),
-                service=Gaussian(_field(rd, "service_mean", path),
-                                 _field(rd, "service_var", path)),
-                floor=_integer(_get(rd, "floor", path), f"{path}.floor"),
-            )
-        )
+        requests.append(_record(Request, {**rd, "window[0]": window[0],
+                                          "window[1]": window[1]}, path))
     depot_floor = _integer(_get(_get(data, "depot", ""), "floor", "depot"),
                            "depot.floor")
     charging_floors = tuple(
@@ -371,19 +357,22 @@ def _instance_from_dict(data) -> Instance:
         if len(coords) != n_nodes:
             raise InstanceError(
                 f"coordinates has {len(coords)} entries, expected {n_nodes}")
+        for i, row in enumerate(coords):
+            if len(row) != len(coords[0]):
+                raise InstanceError(f"coordinates[{i}] must have {len(coords[0])} entries")
         distance = tuple(
             tuple(math.dist(a, b) for b in coords) for a in coords
         )
     else:
         raise InstanceError("missing field distance (or coordinates)")
-    if "floor_diff" in data:
-        floor_diff = _matrix(data["floor_diff"], "floor_diff")
-    else:
-        floor_diff = tuple(
-            tuple(float(abs(fi - fj)) for fj in floors) for fi in floors
-        )
-
-    amr, cost, stoch = (_params(data, group) for group in PARAM_GROUPS)
+    floor_diff = _matrix(data["floor_diff"] if "floor_diff" in data else
+                         [[abs(fi - fj) for fj in floors] for fi in floors],
+                         "floor_diff")
+    # A group whose fields all have defaults may be left out.
+    amr, cost, stoch = (
+        _record(cls, _get(data, group, "", MISSING if any(
+            f.default is MISSING for f in fields(cls)) else {}), group)
+        for group, cls in PARAM_GROUPS.items())
     shift_start = data.get("shift_start")
     if shift_start is not None:
         shift_start = _time(shift_start, "shift_start")
@@ -400,14 +389,17 @@ def _instance_from_dict(data) -> Instance:
     )
 
 
-def _params(data, group: str):
-    """Read one parameter group through its schema.  A group whose fields all
-    have defaults may be left out."""
-    cls = PARAM_GROUPS[group]
-    optional = all(f.default is not MISSING for f in fields(cls))
-    values = _get(data, group, "", {} if optional else MISSING)
-    return cls(**{f.name: _field(values, f.metadata["key"], group, f.default)
-                  for f in fields(cls)})
+@cache
+def _schema(cls) -> tuple:
+    """(name, key, default, read, rule) for each field of a record class."""
+    return tuple((f.name, f.metadata["key"], f.default, f.metadata["read"],
+                  f.metadata["rule"]) for f in fields(cls))
+
+
+def _record(cls, data, path: str):
+    """Read a request or a parameter group at ``path`` through its schema."""
+    return cls(**{name: read(_get(data, key, path, default), f"{path}.{key}")
+                  for name, key, default, read, _ in _schema(cls)})
 
 
 # ---------------------------------------------------------------------------
@@ -426,12 +418,7 @@ def _field_violations(inst: Instance) -> list[str]:
     seen_ids = set()
     for i, r in enumerate(inst.requests):
         path = f"requests[{i}]"
-        for name, value, rule in (
-                ("demand", r.demand, POSITIVE), ("window[0]", r.window_open, TIME),
-                ("window[1]", r.window_close, TIME),
-                ("service_mean", r.service.mean, TIME),
-                ("service_var", r.service.variance, TIME_VAR)):
-            out += _violation(f"{path}.{name}", value, rule)
+        out += _param_violations(path, r)
         if r.id in seen_ids:
             out.append(f"{path}.id duplicates id {r.id}")
         seen_ids.add(r.id)
@@ -444,10 +431,10 @@ def _field_violations(inst: Instance) -> list[str]:
     return out
 
 
-def _param_violations(group: str, params) -> list[str]:
-    return [msg for f in fields(params)
-            for msg in _violation(f"{group}.{f.metadata['key']}",
-                                  getattr(params, f.name), f.metadata["rule"])]
+def _param_violations(path: str, record) -> list[str]:
+    """The range-rule messages for a request or a parameter group."""
+    return [msg for name, key, _, _, rule in _schema(type(record)) if rule
+            for msg in _violation(f"{path}.{key}", getattr(record, name), rule)]
 
 
 def _violation(path: str, value: float, rule) -> list[str]:
@@ -497,8 +484,8 @@ def instance_to_dict(inst: Instance) -> dict:
                 "id": r.id,
                 "demand": r.demand,
                 "window": [r.window_open, r.window_close],
-                "service_mean": r.service.mean,
-                "service_var": r.service.variance,
+                "service_mean": r.service_mean,
+                "service_var": r.service_var,
                 "floor": r.floor,
             }
             for r in inst.requests
@@ -531,10 +518,7 @@ def scale_distance(inst: Instance, k: float) -> Instance:
 
 def scale_variance(inst: Instance, n: float) -> Instance:
     """Multiply travel and service variances by n (time means untouched)."""
-    reqs = tuple(
-        replace(r, service=Gaussian(r.service.mean, r.service.variance * n))
-        for r in inst.requests
-    )
+    reqs = tuple(replace(r, service_var=r.service_var * n) for r in inst.requests)
     stoch = replace(inst.stoch, sigma0_sq=inst.stoch.sigma0_sq * n,
                     sigmaf_sq=inst.stoch.sigmaf_sq * n)
     return replace(inst, requests=reqs, stoch=stoch)

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from amrsched.model import (AmrParams, CostParams, DEPOT, Gaussian, Instance,
+from amrsched.model import (AmrParams, CostParams, DEPOT, Instance,
                             Request, Solution, StochasticParams, StructuralError,
                             load_instance, normalize_solution,
                             serialize_instance, solution_from_ids)
@@ -91,7 +91,7 @@ def random_instance(rng: random.Random, n_requests: int, *,
             demand=float(rng.randint(1, 8)),
             window_open=round(open_, 0),
             window_close=round(open_ + width, 0),
-            service=Gaussian(float(rng.randint(60, 240)), 36.0),
+            service_mean=float(rng.randint(60, 240)), service_var=36.0,
             floor=floors[i + 1],
         ))
     max_arc = max(max(row) for row in distance)

@@ -316,6 +316,20 @@ def test_bad_input_is_one_error_line(command, payload, hospital12_path,
     assert_one_error_line(argv, capsys)
 
 
+def test_floor_no_float_holds_is_one_error_line(hospital12_path, tmp_path,
+                                                capsys):
+    """With floor_diff derived from the floors, a floor of 10**400 is refused
+    by name instead of overflowing the derivation."""
+    data = json.loads(hospital12_path.read_text())
+    del data["floor_diff"]
+    data["requests"][0]["floor"] = 10 ** 400
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(data))
+    err = assert_one_error_line(["solve", "--instance", path, "--iterations", 1],
+                                capsys)
+    assert "requests[0].floor" in err
+
+
 MUTATIONS = (("drop", None), ("string", "x"), ("bool", True), ("null", None),
              ("list", []), ("nan", math.nan), ("inf", math.inf), ("zero", 0),
              ("negative", -1e6), ("huge", 1e300), ("tiny", 1e-320))

@@ -197,6 +197,61 @@ def test_unknown_format_and_parse_failure():
         load_instance("missing_file.json")
 
 
+def test_ragged_coordinates_are_refused(hospital12_path):
+    data = json.loads(hospital12_path.read_text())
+    del data["distance"], data["floor_diff"]
+    data["coordinates"] = [[0, 0]] * (len(data["requests"]) + 1 + len(data["charging"]))
+    data["coordinates"][3] = [30, 40, 5]
+    with pytest.raises(InstanceError, match=r"^coordinates\[3\] must have 2 entries$"):
+        load_instance(json.dumps(data))
+
+
+@pytest.mark.parametrize("text", ['{"requests": ' + "1" * 5000 + "}",
+                                  '{"requests": ' + "[" * 100_000 + "]" * 100_000 + "}"],
+                         ids=["int-over-4300-digits", "nesting-too-deep"])
+def test_unreadable_json_is_an_instance_error(text):
+    with pytest.raises(InstanceError, match="^instance JSON does not parse"):
+        load_instance(text)
+
+
+@pytest.mark.parametrize("keys, value, message", [
+    (("requests", 0, "floor"), 10 ** 400, r"requests\[0\]\.floor must be an integer"),
+    (("depot", "floor"), 10 ** 400, r"depot\.floor must be an integer"),
+    (("charging", 0, "floor"), -10 ** 400, r"charging\[0\]\.floor must be an integer"),
+    # each floor fits a float, their difference does not
+    (("depot", "floor"), -10 ** 308, r"floor_diff\[0\] holds a number too large"),
+], ids=["request", "depot", "charging", "difference"])
+def test_floor_no_float_holds_is_refused(hospital12_path, keys, value, message):
+    """The derived floor_diff would overflow converting such a floor."""
+    data = json.loads(hospital12_path.read_text())
+    del data["floor_diff"]
+    data["requests"][0]["floor"] = 10 ** 308
+    *parents, last = keys
+    reduce(getitem, parents, data)[last] = value
+    with pytest.raises(InstanceError, match=message):
+        load_instance(json.dumps(data))
+
+
+@pytest.mark.parametrize("bad, named", [
+    ({"window": 5, "id": True}, r"window must be \[open, close\]"),
+    ({"id": True, "demand": "x"}, r"id must be an integer"),
+    ({"demand": "x", "window": ["x", 30000]}, r"demand must be a number"),
+    ({"window": ["x", "y"]}, r"window\[0\] must be seconds"),
+    ({"window": [29000, "y"], "service_mean": "x"}, r"window\[1\] must be seconds"),
+    ({"service_mean": "x", "service_var": "x"}, r"service_mean must be a number"),
+    ({"service_var": "x", "floor": 1.5}, r"service_var must be a number"),
+], ids=["window-id", "id-demand", "demand-window0", "window0-window1",
+        "window1-service_mean", "service_mean-service_var", "service_var-floor"])
+def test_request_fields_are_read_in_file_order(hospital12_path, bad, named):
+    """With two bad fields in one request, the message names the one read
+    first: window shape, id, demand, window[0], window[1], service_mean,
+    service_var, floor."""
+    data = json.loads(hospital12_path.read_text())
+    data["requests"][0].update(bad)
+    with pytest.raises(InstanceError, match=r"^requests\[0\]\." + named):
+        load_instance(json.dumps(data))
+
+
 def test_solomon_small_profile_floors():
     inst = load_instance(SOLOMON_SAMPLE, format="solomon", profile="small")
     assert inst.n_requests == 15
@@ -239,7 +294,7 @@ def test_scale_variance_rescales_all_variances(hospital12):
     scaled = scale_variance(hospital12, 10.0)
     assert scaled.stoch.sigma0_sq == 40.0
     assert scaled.stoch.sigmaf_sq == 160.0
-    assert scaled.requests[0].service.variance == 360.0
+    assert scaled.requests[0].service_var == 360.0
     assert scaled.travel_var[0][1] == pytest.approx(200.0)
     assert scaled.travel_mean[0][1] == hospital12.travel_mean[0][1]
 

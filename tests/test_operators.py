@@ -384,8 +384,7 @@ def test_amr_decrease_keeps_unmergeable():
     inst = random_instance(rng, 2, tight_windows=True)
     import dataclasses
     reqs = tuple(dataclasses.replace(r, window_open=29400.0, window_close=29900.0,
-                                     service=dataclasses.replace(
-                                         r.service, mean=400.0))
+                                     service_mean=400.0)
                  for r in inst.requests)
     inst = dataclasses.replace(inst, requests=reqs)
     sol = solution_from_ids(inst, [[[1]], [[2]]])

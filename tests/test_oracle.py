@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from amrsched.model import DEPOT, Gaussian, Solution, solution_from_ids
+from amrsched.model import DEPOT, Solution, solution_from_ids
 from amrsched.evaluation import (_amr_cost, _walk_trip, evaluate_solution,
                                  solution_cost)
 from amrsched.oracle import (NoFeasibleSolution, _battery_never_binds,
@@ -31,7 +31,7 @@ def test_exact_two_disjoint_tight_windows_need_two_amrs():
     # chaining can serve both with one AMR
     reqs = tuple(dataclasses.replace(r, window_open=29400.0,
                                      window_close=29900.0,
-                                     service=Gaussian(450.0, 36.0))
+                                     service_mean=450.0, service_var=36.0)
                  for r in inst.requests)
     inst = dataclasses.replace(inst, requests=reqs, shift_start=None)
     sol, obj = exact_solve(inst)
@@ -99,9 +99,9 @@ def test_exact_lets_a_wide_arrival_pass_late_above_half_epsilon():
     inst = random_instance(random.Random(5), 2)
     r1, r2 = inst.requests
     reqs = (dataclasses.replace(r1, window_open=30000.0, window_close=31000.0,
-                                service=Gaussian(3000.0, 36.0)),
+                                service_mean=3000.0, service_var=36.0),
             dataclasses.replace(r2, window_open=31010.0, window_close=32000.0,
-                                service=Gaussian(0.0, 86400.0 ** 2)))
+                                service_mean=0.0, service_var=86400.0 ** 2))
     inst = dataclasses.replace(inst, requests=reqs, shift_start=None,
                                cost=dataclasses.replace(inst.cost, epsilon=0.6))
     sol, obj = exact_solve(inst)
@@ -310,7 +310,7 @@ def test_exact_leaves_the_search_memos_alone(hospital12):
 def test_mc_zero_variance_plan_is_exact(hospital12):
     inst = dataclasses.replace(
         hospital12,
-        requests=tuple(dataclasses.replace(r, service=Gaussian(r.service.mean, 0.0))
+        requests=tuple(dataclasses.replace(r, service_var=0.0)
                        for r in hospital12.requests),
         stoch=dataclasses.replace(hospital12.stoch, sigma0_sq=0.0, sigmaf_sq=0.0))
     sol = paper_optimum(inst)

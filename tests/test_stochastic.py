@@ -169,7 +169,7 @@ def _without_variance(inst):
     return dataclasses.replace(
         inst,
         stoch=dataclasses.replace(inst.stoch, sigma0_sq=0.0, sigmaf_sq=0.0),
-        requests=tuple(dataclasses.replace(r, service=Gaussian(r.service.mean, 0.0))
+        requests=tuple(dataclasses.replace(r, service_var=0.0)
                        for r in inst.requests))
 
 
