@@ -127,7 +127,10 @@ def cmd_solve(args) -> int:
 
 def cmd_validate(args) -> int:
     inst = load_configured_instance(args)
-    data = json.loads(Path(args.solution).read_text())
+    try:
+        data = json.loads(Path(args.solution).read_text(encoding="utf-8"))
+    except (ValueError, RecursionError) as exc:     # also nesting too deep
+        raise StructuralError(f"solution JSON does not parse: {exc}") from exc
     amrs = data.get("amrs") if isinstance(data, dict) else None
     if not isinstance(amrs, list):
         raise StructuralError(f"solution file {args.solution} has no 'amrs' list")

@@ -65,7 +65,7 @@ class SolutionEvaluation:
 
 
 def _walk_trip(inst: Instance, record, trip, limit: int = _MAX_COUNT,
-               profile: list | None = None, load: float | None = None):
+               profile: list | None = None):
     """The trip recurrence every evaluator runs: the cost record (see
     ``_amr_cost``) of an AMR with ``record`` that then drives ``trip``.
 
@@ -80,12 +80,11 @@ def _walk_trip(inst: Instance, record, trip, limit: int = _MAX_COUNT,
     order, so the floats are the reference closed form's (the tests compare
     them with ``==``).
 
-    The walk starts at the record's depot arrival law and battery, with
-    ``load`` on board (None means ``inst.amr.capacity``); the trip's distance
-    is summed on its own and then added to the record's.  With a ``profile``
-    list, one (arrival mean, arrival variance, start mean, start variance,
-    departure mean, load, battery) tuple per node after the first is
-    appended to it.
+    The walk starts at the record's depot arrival law and battery, with a
+    full load on board (the depot reloads); the trip's distance is summed on
+    its own and then added to the record's.  With a ``profile`` list, one
+    (arrival mean, arrival variance, start mean, start variance, departure
+    mean, load, battery) tuple per node after the first is appended to it.
 
     The count (window violations plus capacity and battery flags) only rises
     along the walk.  Once the record's count plus the trip's exceeds
@@ -115,8 +114,7 @@ def _walk_trip(inst: Instance, record, trip, limit: int = _MAX_COUNT,
     inv_sqrt_2pi = _INV_SQRT_2PI
 
     dist0, twv, cap_n, bat_n, viol, mean, var, bat = record
-    if load is None:
-        load = inst.amr.capacity
+    load = inst.amr.capacity
     dist = 0.0
     cap_bad = False
     bat_bad = bat < bat_low
@@ -182,20 +180,20 @@ def _walk_trip(inst: Instance, record, trip, limit: int = _MAX_COUNT,
 
 
 def evaluate_trip(inst: Instance, trip, start_time: float, start_battery: float,
-                  start_load: float, start_var: float = 0.0) -> TripEvaluation:
+                  start_var: float = 0.0) -> TripEvaluation:
     """Walk one depot-to-depot node sequence and return its per-node profile.
 
     Arrival at each node adds the travel law for the leg; request nodes wait
     for their window (truncated start), consume service time and demand;
     charging nodes top the battery up to beta in deterministic time.
     Infeasibility is reported in the flags, never raised.  The trip leaves
-    the depot at a time of mean ``start_time`` and variance ``start_var``.
+    the depot fully loaded, at mean ``start_time`` and variance ``start_var``.
     """
     profile = [(start_time, start_var, start_time, start_var, start_time,
-                start_load, start_battery)]
+                inst.amr.capacity, start_battery)]
     distance, tw_violations, cap_bad, bat_bad, violating, *_ = _walk_trip(
         inst, (0.0, 0, 0, 0, (), start_time, start_var, start_battery), trip,
-        profile=profile, load=start_load)
+        profile=profile)
     return TripEvaluation(
         timings=tuple(NodeTiming(Gaussian(am, av), Gaussian(sm, sv), dep)
                       for am, av, sm, sv, dep, _, _ in profile),
@@ -223,8 +221,7 @@ def evaluate_solution(inst: Instance, sol: Solution) -> SolutionEvaluation:
     for amr_trips in sol.amrs:
         record = _start_record(inst)
         for trip in amr_trips:
-            per_trip.append(evaluate_trip(inst, trip, record[5], record[7],
-                                          inst.amr.capacity, record[6]))
+            per_trip.append(evaluate_trip(inst, trip, record[5], record[7], record[6]))
             record = _walk_trip(inst, record, trip)
         records.append(record)
     total = _fold(inst, records)

@@ -271,7 +271,10 @@ def load_instance(source, format: str = "json", profile: str = "small") -> Insta
     ``format='solomon'`` the ``profile`` selects the first 15 customers
     ("small") or all of them ("large").
     """
-    text = _read_source(source)
+    try:
+        text = _read_source(source)
+    except UnicodeDecodeError as exc:
+        raise InstanceError(f"instance is not UTF-8 text: {exc}") from exc
     if format == "json":
         try:
             data = json.loads(text)
@@ -290,14 +293,14 @@ def _read_source(source) -> str:
     if isinstance(source, bytes):
         return source.decode()
     if isinstance(source, Path):
-        return source.read_text()
+        return source.read_text(encoding="utf-8")
     if isinstance(source, str):
         # Heuristic: a path has no newline; payloads carry structure.
         if "\n" not in source and not source.lstrip().startswith("{"):
             path = Path(source)
             if not path.is_file():
                 raise InstanceError(f"no such instance file: {source!r}")
-            return path.read_text()
+            return path.read_text(encoding="utf-8")
         return source
     raise InstanceError(f"unsupported instance source {type(source).__name__}")
 

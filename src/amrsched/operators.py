@@ -208,9 +208,9 @@ def depot_insert_repair(inst: Instance, sol: Solution) -> Solution:
 
 def charging_insert_repair(inst: Instance, sol: Solution) -> Solution:
     """Insert the nearest charging station in front of every node whose
-    arrival battery would undershoot alpha, in one forward walk per AMR.  A
-    solution that never undershoots comes back as is; so does the trip tuple
-    of every AMR that never does.
+    arrival battery would undershoot alpha, in one walk over each AMR's node
+    sequence.  A solution that never undershoots comes back as is; so does
+    the trip tuple of every AMR that never does.
 
     When the battery is already too low at that point for the station itself
     to be reachable, the insertion slot walks backwards along the AMR, no
@@ -224,40 +224,36 @@ def charging_insert_repair(inst: Instance, sol: Solution) -> Solution:
 
 
 def _charge_amr(inst, trips):
-    """The charging repair of one AMR's chained trips.
+    """The charging repair of one AMR's chained trips, walked as one node
+    sequence from the depot.
 
-    Slots are the insertion points since the last charging stop, as (trip
-    index, node index, battery when leaving the preceding node); a station
-    tops the battery up to beta, so none placed before it helps after it.
+    Slots are the insertion points since the last charging stop, as (node
+    index, battery when leaving the preceding node); a station tops the
+    battery up to beta, so none placed before it helps after it.  No slot is
+    taken behind a charging stop, so each leg takes at most one station.
     After an insertion the walk resumes at the new station from its slot's
-    battery, the floats a rescan from the start would reach.  A slot behind
-    a charging stop is skipped, so each leg takes at most one station.
+    battery, the floats a rescan from the start would reach.
     """
     alpha = inst.amr.battery_low
     beta = inst.amr.battery_high
     drain = inst.drain
-    work = trips                    # a list of trip lists once a station goes in
+    nreq = inst.n_requests          # the nodes above it are charging stations
+    nodes = [DEPOT, *(n for trip in trips for n in trip[1:])]
+    size = len(nodes)
     battery = inst.amr.battery_init
     slots = []
-    t, i = 0, 1
-    while t < len(work):
-        trip = work[t]
-        if i == len(trip):
-            t, i = t + 1, 1
-            continue
-        prev, node = trip[i - 1], trip[i]
-        slots.append((t, i, battery))
+    i = 1
+    while i < len(nodes):
+        prev, node = nodes[i - 1], nodes[i]
+        if prev <= nreq:
+            slots.append((i, battery))
         battery -= drain[prev][node]
         if battery < alpha - _BATTERY_EPS:
             if not inst.charging_nodes:
                 raise StructuralError("battery infeasible and no charging station exists")
-            if work is trips:
-                work = [list(tr) for tr in trips]
             for k in range(len(slots) - 1, -1, -1):
-                t, i, battery = slots[k]   # on a break the walk resumes here
-                prev = work[t][i - 1]
-                if inst.is_charging(prev):
-                    continue
+                i, battery = slots[k]      # on a break the walk resumes here
+                prev = nodes[i - 1]
                 station = _nearest_station(inst, prev)
                 at_station = battery - drain[prev][station]
                 # the station must be reachable and the charge must change state
@@ -267,15 +263,18 @@ def _charge_amr(inst, trips):
                 raise StructuralError(
                     "unrepairable battery profile: no charging slot can cover the "
                     f"leg into node {node}")
-            work[t].insert(i, station)
+            nodes.insert(i, station)
             del slots[k:]
             continue
-        if inst.is_charging(node):
+        if node > nreq:
             if battery < beta - _BATTERY_EPS:
                 battery = beta
             slots = []
         i += 1
-    return trips if work is trips else tuple(map(tuple, work))
+    if len(nodes) == size:
+        return trips
+    depots = [j for j, n in enumerate(nodes) if n == DEPOT]     # split at them
+    return tuple(tuple(nodes[a:b + 1]) for a, b in zip(depots, depots[1:]))
 
 
 def _nearest_station(inst, node):

@@ -46,11 +46,11 @@ def exact_solve(inst: Instance):
     a day without stations, and no repair detour arrives earlier).  When
     ``_battery_never_binds`` holds as well, no day is repaired, and a day
     is not grown where another of its layer with the same requests and the
-    same last request has no larger open-trip load, depot arrival mean,
-    depot arrival variance or distance (label dominance; Feillet et al.,
-    2004): every extension of it is then no cheaper and no more feasible
-    than the same extension of the other.  Of equal days the first in layer
-    order grows.  Both premises rest on the timing recurrence being
+    same last request has no less room left on its open trip and no larger
+    depot arrival mean, depot arrival variance or distance (label dominance;
+    Feillet et al., 2004): every extension of it is then no cheaper and no
+    more feasible than the same extension of the other.  Of equal days the
+    first in layer order grows.  Both premises rest on the timing recurrence being
     monotone in the start's mean and variance, which holds up to the
     rounding of the truncated moments.
 
@@ -68,7 +68,7 @@ def exact_solve(inst: Instance):
     prune = _growth_prunes_sound(inst)
     dominance = prune and _battery_never_binds(inst)
     demand = inst.demand
-    capacity = inst.amr.capacity + _LOAD_EPS
+    room = [inst.amr.capacity - q for q in demand]     # a trip's room after one stop
     bit = [0] + [1 << (r - 1) for r in range(1, n + 1)]
     # blocked[r]: the requests r may not follow on one day
     blocked = [sum(bit[x] for x in range(1, n + 1)
@@ -77,13 +77,13 @@ def exact_solve(inst: Instance):
 
     best_day = {}   # request bitmask -> (objective, cheapest feasible day)
     start = _start_record(inst)
-    # a layer: (day, request mask, open-trip load, record of its closed trips)
-    layer = [(((DEPOT, r, DEPOT),), bit[r], demand[r], start) for r in range(1, n + 1)]
+    # a layer: (day, request mask, room left on its open trip, closed-trip record)
+    layer = [(((DEPOT, r, DEPOT),), bit[r], room[r], start) for r in range(1, n + 1)]
     while layer:
-        # the days that may grow, as (load, mean, var, distance, day, mask, base,
+        # the days that may grow, as (room, mean, var, distance, day, mask, base,
         # record): by (mask, last request) where dominance holds, else in one list
         labels = {}
-        for day, mask, load, base in layer:
+        for day, mask, left, base in layer:
             priced = record = _walk_trip(inst, base, day[-1])
             plan = day
             if record[3]:
@@ -101,23 +101,23 @@ def exact_solve(inst: Instance):
             dist, mean, var = record[0], record[5], record[6]
             kept = labels.setdefault((mask, day[-1][-2]) if dominance else None, [])
             for a in kept if dominance else ():
-                if a[0] <= load and a[1] <= mean and a[2] <= var and a[3] <= dist:
+                if a[0] >= left and a[1] <= mean and a[2] <= var and a[3] <= dist:
                     break
             else:
                 if dominance:
-                    kept[:] = [b for b in kept if not (load <= b[0] and mean <= b[1]
+                    kept[:] = [b for b in kept if not (left >= b[0] and mean <= b[1]
                                                        and var <= b[2] and dist <= b[3])]
-                kept.append((load, mean, var, dist, day, mask, base, record))
+                kept.append((left, mean, var, dist, day, mask, base, record))
         layer = []
-        for load, _, _, _, day, mask, base, record in (
+        for left, _, _, _, day, mask, base, record in (
                 label for kept in labels.values() for label in kept):
             for r in range(1, n + 1):
                 if mask & (bit[r] | blocked[r]):
                     continue
-                layer.append((day + ((DEPOT, r, DEPOT),), mask | bit[r], demand[r], record))
-                if load + demand[r] <= capacity:
+                layer.append((day + ((DEPOT, r, DEPOT),), mask | bit[r], room[r], record))
+                if left - demand[r] >= -_LOAD_EPS:     # the walk's capacity test
                     layer.append((day[:-1] + (day[-1][:-1] + (r, DEPOT),), mask | bit[r],
-                                  load + demand[r], base))
+                                  left - demand[r], base))
 
     # best[mask]: (objective, AMRs, day holding mask's lowest request) of the
     # cheapest cover of mask, the fewest AMRs first among equal objectives
@@ -197,12 +197,12 @@ def mc_validate(inst: Instance, sol: Solution, samples: int,
                 seed: int = 0) -> McReport:
     """Simulate a fixed plan under sampled travel and service times.
 
-    Each sample replays every AMR's chained trips: waiting to the window
-    opening, deterministic partial charging to beta, and the next trip
-    starting at the realized depot arrival.  Negative time draws are clamped
-    at zero (they affect well under 0.1% of draws at realistic variances).
-    Battery never depends on the draws, so charging decisions are common to
-    all samples.
+    Each sample replays every AMR's chained trips as one node sequence from
+    the depot: waiting to the window opening, deterministic partial charging
+    to beta, and the next trip starting at the realized depot arrival.
+    Negative time draws are clamped at zero (they affect well under 0.1% of
+    draws at realistic variances).  Battery never depends on the draws, so
+    charging decisions are common to all samples.
     """
     import numpy as np  # here, so that `import amrsched` stays free of numpy
 
@@ -216,42 +216,37 @@ def mc_validate(inst: Instance, sol: Solution, samples: int,
     for amr in sol.amrs:
         t = np.full(samples, float(inst.shift_start))
         battery = amrp.battery_init
-        for trip in amr:
-            prev = trip[0]
-            for node in trip[1:]:
-                mu = inst.travel_mean[prev][node]
-                var = inst.travel_var[prev][node]
-                if var > 0.0:
-                    leg = rng.normal(mu, math.sqrt(var), samples)
-                    np.maximum(leg, 0.0, out=leg)
-                    t = t + leg
+        nodes = [DEPOT, *(node for trip in amr for node in trip[1:])]
+        for prev, node in zip(nodes, nodes[1:]):
+            mu = inst.travel_mean[prev][node]
+            var = inst.travel_var[prev][node]
+            if var > 0.0:
+                leg = rng.normal(mu, math.sqrt(var), samples)
+                np.maximum(leg, 0.0, out=leg)
+                t = t + leg
+            else:
+                t = t + max(mu, 0.0)
+            battery -= inst.drain[prev][node]
+            if inst.is_request(node):
+                late[node] = int((t > inst.window_close[node]).sum())
+                arrival_sum[node] = float(t.sum())
+                t = np.maximum(t, inst.window_open[node])
+                smu = inst.service_mean[node]
+                svar = inst.service_var[node]
+                if svar > 0.0:
+                    dur = rng.normal(smu, math.sqrt(svar), samples)
+                    np.maximum(dur, 0.0, out=dur)
+                    t = t + dur
                 else:
-                    t = t + max(mu, 0.0)
-                battery -= inst.drain[prev][node]
-                if inst.is_request(node):
-                    late[node] = int((t > inst.window_close[node]).sum())
-                    arrival_sum[node] = float(t.sum())
-                    t = np.maximum(t, inst.window_open[node])
-                    smu = inst.service_mean[node]
-                    svar = inst.service_var[node]
-                    if svar > 0.0:
-                        dur = rng.normal(smu, math.sqrt(svar), samples)
-                        np.maximum(dur, 0.0, out=dur)
-                        t = t + dur
-                    else:
-                        t = t + max(smu, 0.0)
-                elif inst.is_charging(node):
-                    if battery < amrp.battery_high - _BATTERY_EPS:
-                        t = t + (amrp.battery_high - battery) / amrp.charge_rate
-                        battery = amrp.battery_high
-                prev = node
-    stats = []
-    for node in sorted(late, key=lambda nd: inst.request_at(nd).id):
-        stats.append(RequestStats(
-            id=inst.request_at(node).id,
-            violation_frequency=late[node] / samples,
-            mean_arrival=arrival_sum[node] / samples,
-        ))
+                    t = t + max(smu, 0.0)
+            elif inst.is_charging(node):
+                if battery < amrp.battery_high - _BATTERY_EPS:
+                    t = t + (amrp.battery_high - battery) / amrp.charge_rate
+                    battery = amrp.battery_high
+    stats = [RequestStats(id=inst.request_at(node).id,
+                          violation_frequency=late[node] / samples,
+                          mean_arrival=arrival_sum[node] / samples)
+             for node in sorted(late, key=lambda nd: inst.request_at(nd).id)]
     return McReport(
         samples=samples,
         per_request=tuple(stats),

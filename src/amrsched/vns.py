@@ -20,7 +20,7 @@ import random
 from .model import DEPOT, Instance, Solution, StructuralError, normalize_solution
 from .evaluation import (_LOAD_EPS, _start_record, _walk_trip, evaluate_solution,
                          solution_cost)
-from .operators import (amr_decrease, charging_insert_repair,
+from .operators import (_charge_amr, amr_decrease, charging_insert_repair,
                         depot_insert_repair, relocation_star, shake_2opt_l,
                         shake_cost, swap_star, two_opt_star)
 
@@ -102,10 +102,9 @@ def _patch_battery(inst, body):
     """A single trip body with charging stops inserted by the charging repair
     until its battery profile is legal; None when impossible."""
     try:
-        sol = charging_insert_repair(inst, normalize_solution([[(DEPOT, *body, DEPOT)]]))
+        return list(_charge_amr(inst, ((DEPOT, *body, DEPOT),))[0][1:-1])
     except StructuralError:
         return None
-    return list(sol.amrs[0][0][1:-1])
 
 
 def local_search(inst: Instance, x: Solution, rng: random.Random) -> Solution:
@@ -178,14 +177,8 @@ def solve(inst: Instance, max_iterations: int, seed: int = 0,
     if max_iterations < 1:
         raise ValueError("max_iterations must be >= 1")
     rng = random.Random(seed)
-    x = greedy_initial(inst, rng)
-    x = feasible_operation(inst, x)
-    cx = solution_cost(inst, x)
-
-    least_pen = cx.penalized
-    least_pen_sol = x
-    best: Solution | None = x if cx.feasible else None
-    best_objective = cx.objective if cx.feasible else math.inf
+    x = best = feasible_operation(inst, greedy_initial(inst, rng))
+    rank = _rank(solution_cost(inst, x))
     history: list[float] = []
 
     for n in range(1, max_iterations + 1):
@@ -193,14 +186,15 @@ def solve(inst: Instance, max_iterations: int, seed: int = 0,
         x = shaking(inst, x_l, rng)     # the next working solution
         for y in (x_l, x):
             cp = solution_cost(inst, y)
-            if cp.penalized < least_pen:
-                least_pen, least_pen_sol = cp.penalized, y
-            if cp.feasible and cp.objective < best_objective:
-                best, best_objective = y, cp.objective
-        history.append(best_objective)
+            if _rank(cp) < rank:
+                best, rank = y, _rank(cp)
+        history.append(math.inf if rank[0] else rank[1])
         if on_iteration is not None:
-            on_iteration(n, best_objective, cp.penalized)
+            on_iteration(n, history[-1], cp.penalized)
 
-    returned = best if best is not None else least_pen_sol
-    evaluation = evaluate_solution(inst, returned)
-    return returned, evaluation, history
+    return best, evaluate_solution(inst, best), history
+
+
+def _rank(cost):
+    # any feasible plan first; its penalized cost is its objective (xi3 < inf)
+    return not cost.feasible, cost.penalized

@@ -183,7 +183,7 @@ def test_criterion_06_propositions():
         cut = rng.randint(0, len(others))
         body = others[:cut] + [late, early] + others[cut:]
         te = evaluate_trip(inst, (DEPOT, *body, DEPOT),
-                           inst.shift_start, 1.0, 1e9)
+                           inst.shift_start, 1.0)
         assert inst.requests[early - 1].id in te.violating_requests, \
             f"case {case}: hard-order violation missed"
 

@@ -247,6 +247,8 @@ def test_solve_unrepairable_battery_exit_code(tmp_path, capsys):
     ("validate", '{"amrs": [{"trips": [5]}]}'),  # trip body not a list
     ("validate", '{"amrs": [{"trips": [[{}]]}]}'),  # stop not an id
     ("validate", '{"amrs": [{"trips": [[1e400]]}]}'),  # inf stop
+    pytest.param("validate", '{"amrs": ' + "[" * 100_000 + "]" * 100_000 + "}",
+                 id="validate-nesting-too-deep"),   # RecursionError in json
     # the paper optimum with an empty trip and an AMR with no trips: refused,
     # not read as a plan of fewer AMRs
     ("validate", '{"amrs": [{"trips": [[1, 3, 6, 7], [], [9, 11, 10]]}, '

@@ -18,7 +18,7 @@ from helpers import paper_optimum, random_instance, random_solution, sub_instanc
 def test_trip_load_profile(hospital12):
     inst = hospital12
     trip = (DEPOT, inst.node_of_id[5], inst.node_of_id[6], DEPOT)
-    te = evaluate_trip(inst, trip, 31000.0, 0.8, inst.amr.capacity)
+    te = evaluate_trip(inst, trip, 31000.0, 0.8)
     assert te.load_after[1] == inst.amr.capacity - 4
     assert te.load_after[2] == inst.amr.capacity - 8
     assert te.capacity_ok
@@ -28,7 +28,7 @@ def test_trip_load_profile(hospital12):
 
 
 def test_empty_trip(hospital12):
-    te = evaluate_trip(hospital12, (DEPOT, DEPOT), 30000.0, 0.7, 20.0)
+    te = evaluate_trip(hospital12, (DEPOT, DEPOT), 30000.0, 0.7)
     assert te.distance == 0.0
     assert te.capacity_ok and te.battery_ok and te.tw_ok
     assert te.battery_after[-1] == 0.7
@@ -41,7 +41,7 @@ def test_hard_order_violation_any_start(hospital12):
     # request 9 opens 10:40; request 1 closes 8:20
     trip = (DEPOT, inst.node_of_id[9], inst.node_of_id[1], DEPOT)
     for start in (0.0, 28000.0, 36000.0):
-        te = evaluate_trip(inst, trip, start, 0.8, 20.0)
+        te = evaluate_trip(inst, trip, start, 0.8)
         assert not te.tw_ok
         assert 1 in te.violating_requests
     sol = Solution(amrs=((trip,), ((DEPOT,) + tuple(

@@ -1,3 +1,4 @@
+import io
 import json
 import math
 import random
@@ -212,6 +213,16 @@ def test_ragged_coordinates_are_refused(hospital12_path):
 def test_unreadable_json_is_an_instance_error(text):
     with pytest.raises(InstanceError, match="^instance JSON does not parse"):
         load_instance(text)
+
+
+def test_bytes_not_utf8_are_an_instance_error(tmp_path):
+    """A UTF-16 byte order mark, read from a path, from bytes or from a
+    binary file."""
+    path = tmp_path / "utf16.json"
+    path.write_bytes(b"\xff\xfe{}")
+    for source in (path, str(path), b"\xff\xfe{}", io.BytesIO(b"\xff\xfe{}")):
+        with pytest.raises(InstanceError, match="^instance is not UTF-8 text"):
+            load_instance(source)
 
 
 @pytest.mark.parametrize("keys, value, message", [

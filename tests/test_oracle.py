@@ -5,14 +5,15 @@ import random
 
 import pytest
 
-from amrsched.model import DEPOT, Solution, solution_from_ids
+from amrsched.model import DEPOT, Solution, StructuralError, solution_from_ids
 from amrsched.evaluation import (_amr_cost, _walk_trip, evaluate_solution,
-                                 solution_cost)
+                                 solution_cost, solution_to_dict)
+from amrsched.operators import charging_insert_repair, depot_insert_repair
 from amrsched.oracle import (NoFeasibleSolution, _battery_never_binds,
                              _growth_prunes_sound, exact_solve, mc_validate)
 from amrsched.vns import solve
 from helpers import (brute_force_objective, paper_optimum, random_instance,
-                     sub_instance)
+                     random_solution, sub_instance)
 
 
 def test_exact_single_request():
@@ -240,6 +241,24 @@ def test_later_or_wider_start_never_ends_earlier_or_narrower():
         assert set(viol) <= set(viol_later), case
 
 
+def test_exact_tests_capacity_as_the_walk_does(hospital12):
+    """The walk takes each demand off the capacity in trip order.  Summed,
+    these three demands pass the capacity by 1.5e-8, beyond the 1e-9
+    tolerance; taken off in order they leave exactly 0.  So the one trip
+    d 1 2 3 d is feasible, and it is the optimum."""
+    demands = (17913596.56522111, 15179159.12030319, 80968567.77259612)
+    sub = sub_instance(hospital12, [1, 2, 3])
+    sub = dataclasses.replace(
+        sub, amr=dataclasses.replace(sub.amr, capacity=114061323.4581204),
+        requests=tuple(dataclasses.replace(r, demand=q, window_open=0.0,
+                                           window_close=86400.0)
+                       for r, q in zip(sub.requests, demands)))
+    one_trip = solution_from_ids(sub, [[[1, 2, 3]]])
+    ev = evaluate_solution(sub, one_trip)
+    assert ev.feasible and ev.per_trip[0].load_after[-1] == 0.0
+    assert exact_solve(sub) == (one_trip, ev.objective)
+
+
 def test_exact_reports_infeasible():
     rng = random.Random(1)
     inst = random_instance(rng, 2)
@@ -365,6 +384,41 @@ def test_mc_mean_arrivals_track_analytic(hospital12):
         se = math.sqrt(max(ana.variance, 1e-9) / report.samples)
         tol = max(3 * se, 0.02 * abs(ana.mean - hospital12.shift_start))
         assert abs(stat.mean_arrival - ana.mean) <= tol + 1e-6
+
+
+def test_mc_replays_partial_charges():
+    """Repaired tight-battery plans that charge part of the way to beta, with
+    windows of [0, 86400] so that no request waits: every request's sampled
+    mean arrival, charge times included, is the analytic one within 4
+    standard errors."""
+    rng = random.Random(4)
+    plans = 0
+    while plans < 4:
+        inst = random_instance(rng, rng.randint(4, 8), tight_battery=True)
+        inst = dataclasses.replace(inst, requests=tuple(
+            dataclasses.replace(r, window_open=0.0, window_close=86400.0)
+            for r in inst.requests))
+        try:
+            sol = charging_insert_repair(
+                inst, depot_insert_repair(inst, random_solution(rng, inst)))
+        except StructuralError:
+            continue
+        ev = evaluate_solution(inst, sol)
+        trips = [trip for amr in sol.amrs for trip in amr]     # as ev.per_trip
+        charged = [timing.departure_mean - timing.arrival.mean
+                   for trip, te in zip(trips, ev.per_trip)
+                   for node, timing in zip(trip, te.timings) if inst.is_charging(node)]
+        if not charged:
+            continue
+        assert ev.feasible and min(charged) > 0.0
+        plans += 1
+        report = mc_validate(inst, sol, 200_000, seed=plans)
+        analytic = {s["id"]: s for s in solution_to_dict(inst, sol, ev)["per_request"]}
+        assert len(report.per_request) == len(analytic)
+        for stat in report.per_request:
+            s = analytic[stat.id]
+            se = s["arrival_std"] / math.sqrt(report.samples)
+            assert abs(stat.mean_arrival - s["arrival_mean"]) <= 4 * se, stat
 
 
 def test_mc_refuses_zero_samples(hospital12):

@@ -99,8 +99,7 @@ def test_propagate_adds_means_and_variances(hospital12):
     and with no variance at all."""
     inst = hospital12
     trip = (DEPOT, inst.node_of_id[5], inst.node_of_id[6], DEPOT)
-    walked = [(inst, trip, evaluate_trip(inst, trip, 31000.0, 0.8,
-                                         inst.amr.capacity))]
+    walked = [(inst, trip, evaluate_trip(inst, trip, 31000.0, 0.8))]
     base = sub_instance(hospital12, [1])
     first = Gaussian(base.shift_start + base.travel_mean[0][1],
                      base.travel_var[0][1])
@@ -111,7 +110,7 @@ def test_propagate_adds_means_and_variances(hospital12):
         inst = dataclasses.replace(base, requests=(req,))
         trip = (DEPOT, 1, DEPOT)
         walked.append((inst, trip, evaluate_trip(inst, trip, inst.shift_start,
-                                                 0.8, inst.amr.capacity)))
+                                                 0.8)))
     rng = random.Random(5)
     for case in range(36):
         inst = random_instance(rng, rng.randint(2, 9), tight_battery=case % 2 == 1)
@@ -186,8 +185,8 @@ def test_chance_satisfied_quantile_boundary(hospital12):
         req = dataclasses.replace(inst.requests[0], window_close=close,
                                   window_open=inst.requests[0].window_open - 3600)
         inst = dataclasses.replace(inst, requests=(req,))
-        return evaluate_trip(inst, (DEPOT, 1, DEPOT), inst.shift_start, 0.8,
-                             20.0).tw_ok
+        return evaluate_trip(inst, (DEPOT, 1, DEPOT), inst.shift_start,
+                             0.8).tw_ok
 
     for inst in (base, still):
         arrival = Gaussian(inst.shift_start + inst.travel_mean[0][1],
@@ -222,7 +221,7 @@ def test_charging_departure(hospital12):
     assert inst.drain[DEPOT][c] == 0.0      # the charger sits at the depot
     for battery, charge_s in ((0.0, 0.8 * 16200), (0.4, 6480.0),
                               (beta, 0.0), (beta - 5e-13, 0.0)):
-        te = evaluate_trip(inst, (DEPOT, c, DEPOT), 30000.0, battery, 20.0)
+        te = evaluate_trip(inst, (DEPOT, c, DEPOT), 30000.0, battery)
         at_c = te.timings[1]
         assert at_c.departure_mean - at_c.arrival.mean == pytest.approx(charge_s)
         expected = at_c.arrival.mean + (beta - battery) / rate if charge_s \
