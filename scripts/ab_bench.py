@@ -23,7 +23,8 @@ each side's highest 1-minute load, so a set of pairs taken while other work
 shared the host shows as such.
 
 The last stdout line is the same summary as one JSON object: every pair's
-metrics and loads, the medians, quartiles, wins and verdicts per metric, the
+metrics and loads, each run's unscaled ``# wall clock`` and ``# calibration
+loops`` lines, the medians, quartiles, wins and verdicts per metric, the
 host's core count, the Python version and each checkout's commit.
 
 Standard library only.
@@ -41,8 +42,12 @@ import sys
 from pathlib import Path
 
 
+UNSCALED = ("# wall clock", "# calibration loops")
+
+
 def run_bench(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One untraced benchmark run; its final JSON line as a dict."""
+    """One untraced benchmark run: its final JSON line as a dict, with its
+    ``UNSCALED`` lines under ``"unscaled"``."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
@@ -50,7 +55,9 @@ def run_bench(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     if proc.returncode != 0 or not lines:
         raise SystemExit(f"{checkout}: benchmark exited {proc.returncode}: "
                          f"{proc.stderr.strip()}")
-    return json.loads(lines[-1])
+    result = json.loads(lines[-1])
+    result["unscaled"] = [line for line in lines if line.startswith(UNSCALED)]
+    return result
 
 
 def commit_of(checkout: Path) -> str | None:
@@ -109,6 +116,7 @@ def main(argv=None) -> int:
         "per_pair": [{side: {m["name"]: runs[side][i]["metrics"][m["name"]]["value"]
                              for m in spec["end_to_end"]} for side in sides}
                      for i in range(args.pairs)],
+        "unscaled": {side: [run["unscaled"] for run in runs[side]] for side in sides},
         "load_1min": {side: loads[side] for side in sides},
         "max_load_1min": {side: max(loads[side]) for side in sides},
     }

@@ -126,6 +126,8 @@ def cmd_solve(args) -> int:
 
 
 def cmd_validate(args) -> int:
+    if args.mc_samples < 1:
+        raise ValueError("--mc-samples must be >= 1")
     inst = load_configured_instance(args)
     try:
         data = json.loads(Path(args.solution).read_text(encoding="utf-8"))

@@ -189,12 +189,22 @@ def evaluate_trip(inst: Instance, trip, start_time: float, start_battery: float,
     Infeasibility is reported in the flags, never raised.  The trip leaves
     the depot fully loaded, at mean ``start_time`` and variance ``start_var``.
     """
-    profile = [(start_time, start_var, start_time, start_var, start_time,
-                inst.amr.capacity, start_battery)]
-    distance, tw_violations, cap_bad, bat_bad, violating, *_ = _walk_trip(
-        inst, (0.0, 0, 0, 0, (), start_time, start_var, start_battery), trip,
-        profile=profile)
-    return TripEvaluation(
+    return _profile_trip(inst, (0.0, 0, 0, 0, (), start_time, start_var, start_battery),
+                         trip)[0]
+
+
+def _profile_trip(inst, record, trip):
+    """``evaluate_trip``'s profile of ``trip`` driven from the end of
+    ``record``, and the record ``_walk_trip(inst, record, trip)`` gives, from
+    one walk.  The walk starts from a fresh record with ``record``'s depot
+    arrival and battery; its distance ``0.0 + d`` is ``d``, and its counts
+    and violating nodes start empty, so adding them to ``record``'s gives
+    the same floats, counts and tuple."""
+    mean, var, bat = record[5:]
+    profile = [(mean, var, mean, var, mean, inst.amr.capacity, bat)]
+    distance, tw_violations, cap_bad, bat_bad, violating, *end = _walk_trip(
+        inst, (0.0, 0, 0, 0, (), mean, var, bat), trip, profile=profile)
+    te = TripEvaluation(
         timings=tuple(NodeTiming(Gaussian(am, av), Gaussian(sm, sv), dep)
                       for am, av, sm, sv, dep, _, _ in profile),
         load_after=tuple(p[5] for p in profile),
@@ -206,6 +216,8 @@ def evaluate_trip(inst: Instance, trip, start_time: float, start_battery: float,
         tw_violations=tw_violations,
         violating_requests=tuple(inst.request_at(n).id for n in violating),
     )
+    return te, (record[0] + distance, record[1] + tw_violations, record[2] + cap_bad,
+                record[3] + bat_bad, record[4] + violating, *end)
 
 
 def evaluate_solution(inst: Instance, sol: Solution) -> SolutionEvaluation:
@@ -221,8 +233,8 @@ def evaluate_solution(inst: Instance, sol: Solution) -> SolutionEvaluation:
     for amr_trips in sol.amrs:
         record = _start_record(inst)
         for trip in amr_trips:
-            per_trip.append(evaluate_trip(inst, trip, record[5], record[7], record[6]))
-            record = _walk_trip(inst, record, trip)
+            te, record = _profile_trip(inst, record, trip)
+            per_trip.append(te)
         records.append(record)
     total = _fold(inst, records)
     return SolutionEvaluation(total.m, total.distance, total.objective,

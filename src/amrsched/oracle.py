@@ -203,6 +203,10 @@ def mc_validate(inst: Instance, sol: Solution, samples: int,
     Negative time draws are clamped at zero (they affect well under 0.1% of
     draws at realistic variances).  Battery never depends on the draws, so
     charging decisions are common to all samples.
+
+    The replay works in place in two float buffers and one mask of
+    ``samples`` entries.  A time is drawn as ``mu + sigma * z`` from
+    ``standard_normal``, the floats and stream order ``rng.normal`` gives.
     """
     import numpy as np  # here, so that `import amrsched` stays free of numpy
 
@@ -213,35 +217,37 @@ def mc_validate(inst: Instance, sol: Solution, samples: int,
     amrp = inst.amr
     late = {}
     arrival_sum = {}
+    t = np.empty(samples)
+    draw = np.empty(samples)
+    mask = np.empty(samples, dtype=bool)
+
+    def advance(mu, var):
+        """Add a duration of mean ``mu`` and variance ``var``, clamped at 0."""
+        if var > 0.0:
+            rng.standard_normal(out=draw)
+            np.multiply(draw, math.sqrt(var), out=draw)
+            np.add(draw, mu, out=draw)
+            np.maximum(draw, 0.0, out=draw)
+            np.add(t, draw, out=t)
+        else:
+            np.add(t, max(mu, 0.0), out=t)
+
     for amr in sol.amrs:
-        t = np.full(samples, float(inst.shift_start))
+        t.fill(inst.shift_start)
         battery = amrp.battery_init
         nodes = [DEPOT, *(node for trip in amr for node in trip[1:])]
         for prev, node in zip(nodes, nodes[1:]):
-            mu = inst.travel_mean[prev][node]
-            var = inst.travel_var[prev][node]
-            if var > 0.0:
-                leg = rng.normal(mu, math.sqrt(var), samples)
-                np.maximum(leg, 0.0, out=leg)
-                t = t + leg
-            else:
-                t = t + max(mu, 0.0)
+            advance(inst.travel_mean[prev][node], inst.travel_var[prev][node])
             battery -= inst.drain[prev][node]
             if inst.is_request(node):
-                late[node] = int((t > inst.window_close[node]).sum())
+                np.greater(t, inst.window_close[node], out=mask)
+                late[node] = int(np.count_nonzero(mask))
                 arrival_sum[node] = float(t.sum())
-                t = np.maximum(t, inst.window_open[node])
-                smu = inst.service_mean[node]
-                svar = inst.service_var[node]
-                if svar > 0.0:
-                    dur = rng.normal(smu, math.sqrt(svar), samples)
-                    np.maximum(dur, 0.0, out=dur)
-                    t = t + dur
-                else:
-                    t = t + max(smu, 0.0)
+                np.maximum(t, inst.window_open[node], out=t)
+                advance(inst.service_mean[node], inst.service_var[node])
             elif inst.is_charging(node):
                 if battery < amrp.battery_high - _BATTERY_EPS:
-                    t = t + (amrp.battery_high - battery) / amrp.charge_rate
+                    t += (amrp.battery_high - battery) / amrp.charge_rate
                     battery = amrp.battery_high
     stats = [RequestStats(id=inst.request_at(node).id,
                           violation_frequency=late[node] / samples,

@@ -291,6 +291,51 @@ def mc_truncated_moments(mu: float, sigma: float, e: float, samples: int,
     return float(y.mean()), float(y.var())
 
 
+def reference_mc_validate(inst: Instance, sol: Solution, samples: int,
+                          seed: int = 0):
+    """oracle.mc_validate as a plain replay that allocates fresh arrays at
+    every node: each duration is ``rng.normal(mu, sigma, samples)``, clamped
+    at zero, and every update builds a new time array.  The in-place replay
+    must report exactly what this one does."""
+    from amrsched.evaluation import _BATTERY_EPS
+    from amrsched.oracle import McReport, RequestStats
+
+    rng = np.random.default_rng(seed)
+    amrp = inst.amr
+    late = {}
+    arrival_sum = {}
+
+    def duration(mu, var):
+        if var > 0.0:
+            return np.maximum(rng.normal(mu, math.sqrt(var), samples), 0.0)
+        return max(mu, 0.0)
+
+    for amr in sol.amrs:
+        t = np.full(samples, float(inst.shift_start))
+        battery = amrp.battery_init
+        nodes = [DEPOT, *(node for trip in amr for node in trip[1:])]
+        for prev, node in zip(nodes, nodes[1:]):
+            t = t + duration(inst.travel_mean[prev][node], inst.travel_var[prev][node])
+            battery -= inst.drain[prev][node]
+            if inst.is_request(node):
+                late[node] = int((t > inst.window_close[node]).sum())
+                arrival_sum[node] = float(t.sum())
+                t = np.maximum(t, inst.window_open[node])
+                t = t + duration(inst.service_mean[node], inst.service_var[node])
+            elif inst.is_charging(node) and battery < amrp.battery_high - _BATTERY_EPS:
+                t = t + (amrp.battery_high - battery) / amrp.charge_rate
+                battery = amrp.battery_high
+    stats = [RequestStats(id=inst.request_at(node).id,
+                          violation_frequency=late[node] / samples,
+                          mean_arrival=arrival_sum[node] / samples)
+             for node in sorted(late, key=lambda nd: inst.request_at(nd).id)]
+    return McReport(
+        samples=samples,
+        per_request=tuple(stats),
+        max_violation=max((s.violation_frequency for s in stats), default=0.0),
+    )
+
+
 def sub_instance(inst: Instance, ids: list[int]) -> Instance:
     """Restrict an instance to the given request ids (matrices re-sliced)."""
     keep_nodes = [DEPOT] + [inst.node_of_id[r] for r in ids] + list(inst.charging_nodes)

@@ -426,6 +426,22 @@ def test_usage_error_is_one_error_line(argv, hospital12_path, capsys):
     assert exit_info.value.code == 0
 
 
+def test_validate_refuses_zero_samples_before_the_plan(hospital12_path, tmp_path,
+                                                      capsys):
+    """--mc-samples 0 is a usage error (exit 1) even where the plan would be
+    refused as infeasible (exit 2): the option is checked before the plan
+    is read."""
+    sol = tmp_path / "sol.json"
+    sol.write_text(json.dumps({"amrs": [{"trips": [
+        ["d", *range(1, 13), "d"]]}]}))
+    argv = ["validate", "--instance", hospital12_path, "--solution", sol,
+            "--scale-distance", 20]
+    assert run(argv) == 2
+    assert "infeasible" in capsys.readouterr().err
+    err = assert_one_error_line(argv + ["--mc-samples", 0], capsys)
+    assert "--mc-samples must be >= 1" in err
+
+
 def assert_one_error_line(argv, capsys):
     code = run(argv)
     err = capsys.readouterr().err

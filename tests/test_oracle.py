@@ -13,7 +13,7 @@ from amrsched.oracle import (NoFeasibleSolution, _battery_never_binds,
                              _growth_prunes_sound, exact_solve, mc_validate)
 from amrsched.vns import solve
 from helpers import (brute_force_objective, paper_optimum, random_instance,
-                     random_solution, sub_instance)
+                     random_solution, reference_mc_validate, sub_instance)
 
 
 def test_exact_single_request():
@@ -419,6 +419,37 @@ def test_mc_replays_partial_charges():
             s = analytic[stat.id]
             se = s["arrival_std"] / math.sqrt(report.samples)
             assert abs(stat.mean_arrival - s["arrival_mean"]) <= 4 * se, stat
+
+
+def test_mc_reports_what_the_allocating_replay_reports(hospital12, hospital64):
+    """The in-place replay reports exactly what the allocate-per-node
+    reference does, at 1, 7 and 5000 samples and two seeds, on hospital12's
+    paper optimum, a hospital64 N=400 plan and 24 random plans repaired by
+    ``depot_insert_repair`` and then ``charging_insert_repair``, every other
+    one on a tight-battery instance (so partial charges are replayed).
+
+    Equality assumes numpy's ``normal`` computes ``loc + scale * z`` with a
+    separate multiply and add, as the in-place replay does; a build that
+    fused them into one FMA would round differently.  x86-64 builds do not
+    fuse, and CI runs on x86-64."""
+    cases = [(hospital12, paper_optimum(hospital12)),
+             (hospital64, solve(hospital64, 400, seed=0)[0])]
+    rng = random.Random(24)
+    while len(cases) < 26:
+        inst = random_instance(rng, rng.randint(3, 9), tight_battery=len(cases) % 2 == 0)
+        try:
+            sol = charging_insert_repair(
+                inst, depot_insert_repair(inst, random_solution(rng, inst)))
+        except StructuralError:
+            continue
+        cases.append((inst, sol))
+    assert sum(any(inst.is_charging(node) for amr in sol.amrs for trip in amr
+                   for node in trip) for inst, sol in cases) >= 5
+    for inst, sol in cases:
+        for samples in (1, 7, 5000):
+            for seed in (0, 11):
+                assert (mc_validate(inst, sol, samples, seed=seed)
+                        == reference_mc_validate(inst, sol, samples, seed=seed))
 
 
 def test_mc_refuses_zero_samples(hospital12):
