@@ -194,12 +194,10 @@ def evaluate_trip(inst: Instance, trip, start_time: float, start_battery: float,
 
 
 def _profile_trip(inst, record, trip):
-    """``evaluate_trip``'s profile of ``trip`` driven from the end of
-    ``record``, and the record ``_walk_trip(inst, record, trip)`` gives, from
-    one walk.  The walk starts from a fresh record with ``record``'s depot
-    arrival and battery; its distance ``0.0 + d`` is ``d``, and its counts
-    and violating nodes start empty, so adding them to ``record``'s gives
-    the same floats, counts and tuple."""
+    """``evaluate_trip``'s profile of ``trip`` driven on from ``record``, and
+    ``_walk_trip(inst, record, trip)``, from one walk: the walk starts from a
+    fresh record, and adding its distance (``0.0 + d == d``), counts and
+    violating nodes to ``record``'s gives the same floats, counts and tuple."""
     mean, var, bat = record[5:]
     profile = [(mean, var, mean, var, mean, inst.amr.capacity, bat)]
     distance, tw_violations, cap_bad, bat_bad, violating, *end = _walk_trip(
