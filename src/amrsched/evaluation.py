@@ -12,9 +12,9 @@ can record the per-node profile as it goes:
   of times; it caches per solution, and one memo walk, ``_amr_cost``, per
   AMR trip prefix.  Without a penalized cost to beat it prices in full;
   given one, it walks only until the verdict is certain: the objective is
-  known from distances, violations only add up along a walk, and a walk
-  stops once they exceed what the price leaves.  A stopped AMR leaves a
-  lower-bound record (distance, violations at least) in a store of its own.
+  known from distances or bounded by the caller, violations only add up
+  along a walk, and a walk stops once they exceed what the price leaves,
+  storing the AMR's violation floor, an int, in its record's place.
 
 Trips of one AMR chain at the depot: the next trip starts from the previous
 depot-arrival distribution, mean and variance (the reload is instantaneous
@@ -260,41 +260,34 @@ def _put(store, key, value, cap):
     return value
 
 
-def _amr_cost(inst, trips, caches, limit=_MAX_COUNT, dist=None):
+def _amr_cost(inst, trips, caches, limit=_MAX_COUNT):
     """Cost record of one AMR's chained trips: (distance, window violations,
     capacity flags, battery flags, violating nodes, depot arrival mean,
     depot arrival variance, battery).  The memo holds one record per trip
-    prefix; a walk resumes from the longest cached prefix and stores every
+    prefix; a walk resumes from the longest recorded prefix and stores every
     prefix it completes.
 
     With a ``limit`` the walk returns None once the AMR's violations (window
-    violations plus flags) exceed it, leaving a lower-bound record (distance,
-    violations at least) in a store of its own; a later call whose limit
-    that record exceeds returns None at once.  An exact record comes back
-    whatever its count.  A caller that has summed the AMR's distance passes
-    it as ``dist``; otherwise a stopped walk sums it.
+    violations plus flags) exceed it, storing in the record's place an int
+    floor on them, at least ``limit + 1``: a later call whose limit the floor
+    exceeds returns None at once, any other walks again (a floor never
+    stands for a prefix).  An exact record comes back whatever its count.
     """
     cache = caches["amr"]
     hit = cache.get(trips)
-    if hit is not None:
+    if hit.__class__ is tuple:
         return hit
-    # No record can exceed a call without a limit, so only a call with one
-    # reads the lower-bound store.
-    bound = caches["bound"].get(trips) if limit < _MAX_COUNT else None
-    if bound and bound[1] > limit:
+    if hit is not None and hit > limit:     # a floor above the limit
         return None
     k = len(trips) - 1
-    while k and (hit := cache.get(trips[:k])) is None:
+    while k and (hit := cache.get(trips[:k])).__class__ is not tuple:
         k -= 1
     if not k:
         hit = _start_record(inst)
     for k in range(k, len(trips)):
         record = _walk_trip(inst, hit, trips[k], limit)
         if record is None:
-            if dist is None:
-                dist = bound[0] if bound else _amr_distance(inst, trips[k:], hit[0])
-            _put(caches["bound"], trips, (dist, max(sum(hit[1:4]), limit + 1)),
-                 _AMR_CACHE_LIMIT)
+            _put(cache, trips, max(sum(hit[1:4]), limit + 1), _AMR_CACHE_LIMIT)
             return None
         hit = _put(cache, trips[:k + 1], record, _AMR_CACHE_LIMIT)
     return hit
@@ -304,16 +297,15 @@ def _start_record(inst):
     return (0.0, 0, 0, 0, (), inst.shift_start, 0.0, inst.amr.battery_init)
 
 
-def _amr_distance(inst, trips, dist=0.0) -> float:
-    """``dist`` plus the distance of ``trips``, legs and trips summed in the
-    walk's order: the float an AMR record of those trips holds."""
+def _amr_distance(inst, trips) -> float:
+    """The distance of ``trips``, legs and trips summed in the walk's order:
+    the float an AMR record of those trips holds."""
     dmat = inst.distance
+    dist = 0.0
     for trip in trips:
         trip_d = 0.0
-        prev = trip[0]
-        for node in trip[1:]:
+        for prev, node in zip(trip, trip[1:]):
             trip_d += dmat[prev][node]
-            prev = node
         dist += trip_d
     return dist
 
@@ -362,46 +354,48 @@ def _violation_budget(objective, rate, below):
     return lo
 
 
-def _price_within(inst, amrs, costs, caches, rate, below):
-    """Fill the None records of ``costs``, walking each such AMR only while
-    ``objective + rate * violations`` may stay under ``below`` (no limit
-    when None).  Returns the filled list, or None once the plan's penalized
-    cost is certain to reach ``below``.
+def _price_within(inst, amrs, costs, caches, rate, below, low=-math.inf):
+    """Fill the unknown records of ``costs``, walking each such AMR only
+    while ``objective + rate * violations`` may stay under ``below`` (no
+    limit when None).  Returns the filled list, or None once the plan's
+    score is certain to reach ``below``.
 
-    ``costs`` holds the plan's records in AMR order, () for a removed AMR and
-    None where no exact record is known; ``amrs[i]`` gives the trips of each
-    such AMR i.  Before any walk, their distances and violation floors come
-    from lower-bound records, else from the legs with a floor of 0, which is
-    not stored: only a stopped walk leaves a record.  Distances are summed
-    as ``_fold`` sums them, so the objective is the float the full summary
-    gives.
+    ``costs`` holds the plan's records in AMR order: () for a removed AMR,
+    and None or the AMR store's int violation floor where no exact record is
+    known; ``amrs[i]`` gives the trips of each such AMR i.  Given a ``low``
+    bound on the plan's objective no distance is summed: the budget it
+    leaves is never tighter than the exact one, so every stop is sound, and
+    the filled records make the exact test.  Without one (-inf) the unknown
+    AMRs' distances come from their legs, summed as ``_fold`` sums them.
     """
-    bounds = caches["bound"]
-    m = 0
+    exact = low == -math.inf
+    m = known = 0
     dist = 0.0
-    known = 0
     floors = {}
     for i, cost in enumerate(costs):
-        if cost is None:
-            d, floor = floors[i] = bounds.get(amrs[i]) or (
-                _amr_distance(inst, amrs[i]), 0)
+        if cost is None or cost.__class__ is int:
+            floors[i] = floor = cost or 0
+            if exact:
+                dist += _amr_distance(inst, amrs[i])
         elif cost:
-            d, floor = cost[0], cost[1] + cost[2] + cost[3]
+            floor = cost[1] + cost[2] + cost[3]
+            dist += cost[0]
         else:
             continue
         m += 1
-        dist += d
         known += floor
-    budget = _violation_budget(_objective(inst, m, dist), rate, below)
-    for i, (dist, floor) in floors.items():
+    budget = _violation_budget(_objective(inst, m, dist) if exact else low, rate, below)
+    for i, floor in floors.items():
         if known > budget:
             return None
-        cost = _amr_cost(inst, amrs[i], caches, budget - known + floor, dist)
+        cost = _amr_cost(inst, amrs[i], caches, budget - known + floor)
         if cost is None:
             return None
         costs[i] = cost
         known += cost[1] + cost[2] + cost[3] - floor
-    return costs if known <= budget else None
+    if exact:
+        return costs if known <= budget else None
+    return costs if _fold(inst, costs).objective + rate * known < below else None
 
 
 def solution_cost(inst: Instance, sol: Solution,
@@ -425,11 +419,13 @@ def solution_cost(inst: Instance, sol: Solution,
         # Price every AMR before summing: summing as each AMR was priced
         # raised an oracle-verify benchmark run's peak RSS from 74 to 81 MiB.
         costs = [caches["amr"].get(trips) for trips in sol.amrs]
-        if None in costs:
-            costs = _price_within(inst, sol.amrs, costs, caches,
-                                  inst.cost.tw_penalty, below)
-            if costs is None:
-                return None
+        for cost in costs:
+            if cost.__class__ is not tuple:     # None, or a violation floor
+                costs = _price_within(inst, sol.amrs, costs, caches,
+                                      inst.cost.tw_penalty, below)
+                if costs is None:
+                    return None
+                break
         result = _put(cache, sol.amrs, _fold(inst, costs), _SOL_CACHE_LIMIT)
     if below is not None and result.penalized >= below:
         return None

@@ -213,7 +213,7 @@ class Instance:
                                 "(distance / amr.speed + stoch) must be <= 86400 s")
         self.z_quantile = NormalDist().inv_cdf(1.0 - self.cost.epsilon)
         # evaluation.solution_cost memos, keyed by AMR trip prefix and solution
-        self._caches = {"amr": {}, "bound": {}, "sol": {}}
+        self._caches = {"amr": {}, "sol": {}}
 
     def is_request(self, node: int) -> bool:
         return 1 <= node <= self.n_requests

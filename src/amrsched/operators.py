@@ -341,8 +341,8 @@ def shake_2opt_l(inst: Instance, sol: Solution, rng: random.Random,
     below its candidate's score, the visit ends at the first bound that
     reaches the best score.  A candidate changes one or two AMRs, so it is
     scored from the incumbent's per-AMR costs with only those re-priced,
-    each walked only within the violation budget the best score leaves; only
-    the winner becomes a plan.
+    each walked only within the violation budget that its bound leaves under
+    the best score (a reversal's, exactly); only the winner becomes a plan.
     """
     flat = _shake_trips(sol)
     if not flat or len(flat) == 1 and len(flat[0][2]) < 4:
@@ -367,7 +367,10 @@ def shake_2opt_l(inst: Instance, sol: Solution, rng: random.Random,
             amr_costs[a] = amr_cache.get(trips) if trips else ()
         # an earlier draw also wins a tie: the score may equal the best
         limit = best[0] if k > best[1] else math.nextafter(best[0], math.inf)
-        amr_costs = _price_within(inst, change, amr_costs, caches, rate, limit)
+        # within its 1e-9 slack of the limit a candidate may tie it (integer
+        # distances often do), which the distances refuse before any walk
+        low = bound if limit - bound > 1e-8 * limit else -math.inf
+        amr_costs = _price_within(inst, change, amr_costs, caches, rate, limit, low)
         if amr_costs is not None:   # its score is under the limit: it wins
             best, winner = (shake_cost(inst, _fold(inst, amr_costs)), k), change
     if winner is None:

@@ -7,9 +7,10 @@ from collections import Counter
 import pytest
 
 from amrsched.model import DEPOT, Solution, StructuralError, solution_from_ids
-from amrsched.evaluation import (_MAX_COUNT, _amr_cost, _start_record, _walk_trip,
-                                 evaluate_solution, evaluate_trip, route_table,
-                                 solution_cost, solution_to_dict)
+from amrsched.evaluation import (_MAX_COUNT, _amr_cost, _price_within, _start_record,
+                                 _violation_budget, _walk_trip, evaluate_solution,
+                                 evaluate_trip, route_table, solution_cost,
+                                 solution_to_dict)
 from amrsched.operators import charging_insert_repair
 from amrsched.oracle import mc_validate
 from helpers import paper_optimum, random_instance, random_solution, sub_instance
@@ -169,8 +170,8 @@ def test_bounded_pricing_is_exact():
     is >= t, and otherwise the full summary, for t one ulp below, at and one
     ulp above it, with xi1 and xi3 at 0, 1e-300, 1e300 and 1e308 (where the
     penalized cost overflows to inf, which a bound of inf rejects).  The
-    lower-bound records the bounded calls leave never change an unbounded
-    summary."""
+    violation floors the bounded calls leave in the AMR store never change
+    an unbounded summary."""
     rng = random.Random(12)
     rates = (0.0, 1e-300, 1e300, 1e308)
     outcomes = Counter()
@@ -198,7 +199,7 @@ def test_bounded_pricing_is_exact():
                     assert got == summary
                 outcomes[got is None, not summary.feasible] += 1
             outcomes["stopped walks"] += sum(
-                v > 0 for _, v in inst._caches["bound"].values())
+                type(v) is int and v > 0 for v in inst._caches["amr"].values())
             inst._caches["sol"].clear()
             assert [solution_cost(inst, s) for s in sols] == full
     assert len(outcomes) == 5 and all(outcomes.values()), outcomes
@@ -226,6 +227,105 @@ def test_walked_record_is_the_memo_record():
                 assert folded == memo, (case, trips, limit)
                 outcomes[memo is None, memo is not None and memo[3] > 0] += 1
     assert len(outcomes) == 3 and all(outcomes.values()), outcomes
+
+
+def test_pricing_against_a_bound_gives_the_exact_verdict():
+    """_price_within given a lower bound on the objective (the objective,
+    one ulp under it, or 1-3 rates under it) returns None exactly when the
+    full score objective + rate * violations is >= below, and otherwise the
+    exact records, for below at the score and one ulp either side; the
+    records it starts from are the AMR store's, floors included, on random
+    plans with and without charging stops."""
+    rng = random.Random(41)
+    outcomes = Counter()
+    for case in range(40):
+        inst = random_instance(rng, rng.randint(2, 8), tight_battery=case % 2 == 1)
+        sols = [random_solution(rng, inst) for _ in range(2)]
+        if case % 2:
+            sols += [charging_insert_repair(inst, s) for s in sols]     # stations
+        for sol, rate in itertools.product(sols, (inst.cost.fixed_per_amr,
+                                                  inst.cost.tw_penalty)):
+            cold = dataclasses.replace(inst)._caches
+            exact = [_amr_cost(inst, trips, cold) for trips in sol.amrs]
+            full = solution_cost(dataclasses.replace(inst), sol)
+            violations = full.tw_violations + full.flag_failures
+            score = full.objective + rate * violations
+            lows = [full.objective, math.nextafter(full.objective, -math.inf),
+                    *(full.objective - r * rate for r in (1, 2, 3))]
+            calls = list(itertools.product(
+                lows, (math.nextafter(score, -math.inf), score,
+                       math.nextafter(score, math.inf))))
+            rng.shuffle(calls)
+            for low, below in calls:
+                caches = inst._caches
+                costs = [caches["amr"].get(trips) for trips in sol.amrs]
+                outcomes["floors"] += any(type(c) is int for c in costs)
+                got = _price_within(inst, sol.amrs, costs, caches, rate, below, low)
+                assert (got is None) == (score >= below), (case, low, below)
+                if got is not None:
+                    assert got == exact
+                outcomes[got is None] += 1
+                outcomes["loosened"] += (_violation_budget(low, rate, below)
+                                         > _violation_budget(full.objective, rate, below)
+                                         >= 0)
+            inst._caches["sol"].clear()
+            assert solution_cost(inst, sol) == full
+    assert len(outcomes) == 4 and all(outcomes.values()), outcomes
+
+
+def test_a_stored_floor_never_answers_for_an_exact_record():
+    """After a stopped walk the AMR store holds an int floor, which answers
+    None at once for a limit under it and nothing more: with no limit, or a
+    limit at or above the floor, _amr_cost walks again, returns the fold of
+    _walk_trip from the start record under that limit and stores what it
+    finds in the floor's place.  A floor on a trip prefix never stands for
+    the prefix's record in a longer AMR's walk.  solution_cost on a plan
+    whose AMRs hold floors gives the summary of cold memos."""
+    rng = random.Random(43)
+    outcomes = Counter()
+    for case in range(60):
+        inst = random_instance(rng, rng.randint(2, 8), tight_battery=case % 2 == 1)
+        sol = random_solution(rng, inst)
+        if case % 4 == 1:
+            sol = charging_insert_repair(inst, sol)
+        for trips in sol.amrs:
+            stopped = dataclasses.replace(inst)
+            if _amr_cost(stopped, trips, stopped._caches, 0) is not None:
+                continue
+            floor = stopped._caches["amr"][trips]
+            assert type(floor) is int and floor >= 1
+            for limit in (floor - 1, floor, floor + 1, _MAX_COUNT):
+                warm = dataclasses.replace(inst)
+                _amr_cost(warm, trips, warm._caches, 0)
+                folded = _start_record(inst)
+                for trip in trips:
+                    folded = folded and _walk_trip(inst, folded, trip, limit)
+                got = _amr_cost(warm, trips, warm._caches, limit)
+                stored = warm._caches["amr"][trips]
+                if limit < floor:
+                    assert got is None and stored == floor
+                    continue
+                assert got == folded
+                if got is None:     # it walked again, and stopped later
+                    assert type(stored) is int and stored > limit >= floor
+                else:
+                    assert stored == got
+                outcomes[got is None] += 1
+        for trips in sol.amrs:
+            exact = _amr_cost(inst, trips, dataclasses.replace(inst)._caches)
+            for k in range(1, len(trips)):
+                warm = dataclasses.replace(inst)
+                if _amr_cost(warm, trips[:k], warm._caches, 0) is None:
+                    assert _amr_cost(warm, trips, warm._caches) == exact
+                    outcomes["prefix floors"] += 1
+        warm = dataclasses.replace(inst)
+        for trips in sol.amrs:
+            _amr_cost(warm, trips, warm._caches, 0)
+        held = sum(type(warm._caches["amr"][trips]) is int for trips in sol.amrs)
+        assert solution_cost(warm, sol) == solution_cost(dataclasses.replace(inst), sol)
+        assert not any(type(v) is int for v in warm._caches["amr"].values()) or not held
+        outcomes["plans with floors"] += held > 0
+    assert len(outcomes) == 4 and all(outcomes.values()), outcomes
 
 
 def test_violation_budget_is_the_largest_passing_count():

@@ -521,10 +521,10 @@ def _tie_priced_later_first(inst, sol, seed, size, built):
 
 
 def test_memos_capped_at_three_change_no_cost_and_no_shake(monkeypatch):
-    """With each memo, the lower-bound store included, capped at three
-    records the caches clear on nearly every store, also between the
-    prefixes of one AMR's walk; no cost summary, shake pick, descent or
-    merge may change from its full-pricing reference."""
+    """With each memo, violation floors included, capped at three records
+    the caches clear on nearly every store, also between the prefixes of one
+    AMR's walk; no cost summary, shake pick, descent or merge may change
+    from its full-pricing reference."""
     rng = random.Random(31)
     cases = []
     for case in range(20):
@@ -548,7 +548,8 @@ def test_memos_capped_at_three_change_no_cost_and_no_shake(monkeypatch):
                 assert local_search(inst, sol, random.Random(seed)) == \
                     reference_descent(dataclasses.replace(inst), sol,
                                       random.Random(seed))
-                bounds += any(v for _, v in inst._caches["bound"].values())
+                bounds += any(type(v) is int and v > 0
+                              for v in inst._caches["amr"].values())
             repaired = charging_insert_repair(inst, depot_insert_repair(inst, sol))
             for plan in (sol, repaired):
                 merged = amr_decrease(inst, plan)
@@ -684,9 +685,9 @@ def test_shake_below_gates_the_pick(hospital12_path, hospital64_path):
 
 
 def test_shake_stores_only_stopped_walks(hospital12_path, hospital64_path):
-    """On cold memos the shake adds lower-bound records only where a walk
-    stopped, each with a violation floor of at least 1: reading a
-    candidate's distance from its legs stores nothing."""
+    """On cold memos the shake adds int violation floors to the AMR store
+    only where a walk stopped, each at least 1: a candidate priced without
+    a walk, against its bound, stores nothing."""
     rng = random.Random(5)
     cases = [(load_instance(path), seed)
              for path in (hospital12_path, hospital64_path) for seed in range(2)]
@@ -697,7 +698,7 @@ def test_shake_stores_only_stopped_walks(hospital12_path, hospital64_path):
         sol = random_solution(random.Random(seed), inst)
         cold = dataclasses.replace(inst)
         shake_2opt_l(cold, sol, random.Random(seed))
-        floors = [floor for _, floor in cold._caches["bound"].values()]
+        floors = [v for v in cold._caches["amr"].values() if type(v) is int]
         assert all(floor >= 1 for floor in floors), floors
         stored += len(floors)
     assert stored     # some walk did stop

@@ -299,7 +299,7 @@ def test_exact_empty_instance():
 
 def test_exact_leaves_the_search_memos_alone(hospital12):
     """exact_solve prices each day from the records its days carry, not
-    through the search's memos: a fresh instance keeps no lower-bound record
+    through the search's memos: a fresh instance keeps no violation floor
     and no trip-prefix record but those of the returned plan, whose
     objective is the one solution_cost gives.  On hospital12 subsets, and on
     tight-battery instances, whose days the charging repair rebuilds."""
@@ -314,7 +314,7 @@ def test_exact_leaves_the_search_memos_alone(hospital12):
     for inst in insts:
         sol, obj = exact_solve(inst)
         caches = inst._caches
-        assert not caches["bound"]
+        assert not any(type(v) is int for v in caches["amr"].values())
         assert set(caches["amr"]) <= {amr[:k] for amr in sol.amrs
                                       for k in range(1, len(amr) + 1)}
         assert solution_cost(inst, sol).objective == obj
