@@ -304,8 +304,10 @@ def _amr_distance(inst, trips) -> float:
     dist = 0.0
     for trip in trips:
         trip_d = 0.0
-        for prev, node in zip(trip, trip[1:]):
+        prev = trip[0]
+        for node in trip[1:]:
             trip_d += dmat[prev][node]
+            prev = node
         dist += trip_d
     return dist
 
@@ -369,8 +371,9 @@ def _price_within(inst, amrs, costs, caches, rate, below, low=-math.inf):
     AMRs' distances come from their legs, summed as ``_fold`` sums them.
     """
     exact = low == -math.inf
-    m = known = 0
+    m = 0
     dist = 0.0
+    known = 0
     floors = {}
     for i, cost in enumerate(costs):
         if cost is None or cost.__class__ is int:

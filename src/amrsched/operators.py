@@ -367,10 +367,7 @@ def shake_2opt_l(inst: Instance, sol: Solution, rng: random.Random,
             amr_costs[a] = amr_cache.get(trips) if trips else ()
         # an earlier draw also wins a tie: the score may equal the best
         limit = best[0] if k > best[1] else math.nextafter(best[0], math.inf)
-        # within its 1e-9 slack of the limit a candidate may tie it (integer
-        # distances often do), which the distances refuse before any walk
-        low = bound if limit - bound > 1e-8 * limit else -math.inf
-        amr_costs = _price_within(inst, change, amr_costs, caches, rate, limit, low)
+        amr_costs = _price_within(inst, change, amr_costs, caches, rate, limit, bound)
         if amr_costs is not None:   # its score is under the limit: it wins
             best, winner = (shake_cost(inst, _fold(inst, amr_costs)), k), change
     if winner is None:
