@@ -10,11 +10,11 @@ can record the per-node profile as it goes:
   the solution totals are ``_fold`` of the AMR records, as in the memo.
 * ``solution_cost`` is the memoized aggregate the search loop runs millions
   of times; it caches per solution, and one memo walk, ``_amr_cost``, per
-  AMR trip prefix.  Without a penalized cost to beat it prices in full;
-  given one, it walks only until the verdict is certain: the objective is
-  known from distances or bounded by the caller, violations only add up
-  along a walk, and a walk stops once they exceed what the price leaves,
-  storing the AMR's violation floor, an int, in its record's place.
+  AMR trip prefix.  It prices in full.  A search move priced against a
+  price to beat (``_price_within``) walks only until the verdict is
+  certain: the move bounds its objective, violations only add up along a
+  walk, and a walk stops once they exceed what the price leaves, storing
+  the AMR's violation floor, an int, in its record's place.
 
 Trips of one AMR chain at the depot: the next trip starts from the previous
 depot-arrival distribution, mean and variance (the reload is instantaneous
@@ -297,21 +297,6 @@ def _start_record(inst):
     return (0.0, 0, 0, 0, (), inst.shift_start, 0.0, inst.amr.battery_init)
 
 
-def _amr_distance(inst, trips) -> float:
-    """The distance of ``trips``, legs and trips summed in the walk's order:
-    the float an AMR record of those trips holds."""
-    dmat = inst.distance
-    dist = 0.0
-    for trip in trips:
-        trip_d = 0.0
-        prev = trip[0]
-        for node in trip[1:]:
-            trip_d += dmat[prev][node]
-            prev = node
-        dist += trip_d
-    return dist
-
-
 def _fold(inst, amr_costs) -> CostSummary:
     """Sum per-AMR cost records in AMR order; () marks a removed AMR.
 
@@ -338,9 +323,9 @@ def _fold(inst, amr_costs) -> CostSummary:
 def _violation_budget(objective, rate, below):
     """The largest violation count v with ``objective + rate * v < below``,
     the float test the search makes; -1 when no count passes, ``_MAX_COUNT``
-    (no limit) when every count does: no ``below``, a zero rate, or a
-    quotient beyond any count."""
-    if below is None or objective + rate * _MAX_COUNT < below:
+    (no limit) when every count does: a zero rate, or a quotient beyond any
+    count."""
+    if objective + rate * _MAX_COUNT < below:
         return _MAX_COUNT
     if not objective < below:
         return -1
@@ -356,60 +341,49 @@ def _violation_budget(objective, rate, below):
     return lo
 
 
-def _price_within(inst, amrs, costs, caches, rate, below, low=-math.inf):
-    """Fill the unknown records of ``costs``, walking each such AMR only
-    while ``objective + rate * violations`` may stay under ``below`` (no
-    limit when None).  Returns the filled list, or None once the plan's
-    score is certain to reach ``below``.
+def _price_within(inst, base, change, rate, below, low):
+    """Price the plan whose AMR records are ``base`` with the AMRs of
+    ``change`` (AMR index -> trips, () for a removed AMR) replaced, walking
+    each changed AMR only while ``objective + rate * violations`` may stay
+    under ``below``, given a ``low`` bound on the plan's objective.  Returns
+    the plan's records, or None once its score is certain to reach ``below``.
 
-    ``costs`` holds the plan's records in AMR order: () for a removed AMR,
-    and None or the AMR store's int violation floor where no exact record is
-    known; ``amrs[i]`` gives the trips of each such AMR i.  Given a ``low``
-    bound on the plan's objective no distance is summed: the budget it
-    leaves is never tighter than the exact one, so every stop is sound, and
-    the filled records make the exact test.  Without one (-inf) the unknown
-    AMRs' distances come from their legs, summed as ``_fold`` sums them.
+    A changed AMR starts from what the AMR store holds for its trips: an
+    exact record, or an int violation floor where a walk has stopped on it.
+    No distance is summed: the budget that ``low`` leaves is never tighter
+    than the exact one, so every stop is sound, and the filled records make
+    the exact test.
     """
-    exact = low == -math.inf
-    m = 0
-    dist = 0.0
+    caches = inst._caches
+    costs = base.copy()
+    for a, trips in change.items():
+        costs[a] = caches["amr"].get(trips) if trips else ()
     known = 0
     floors = {}
     for i, cost in enumerate(costs):
         if cost is None or cost.__class__ is int:
             floors[i] = floor = cost or 0
-            if exact:
-                dist += _amr_distance(inst, amrs[i])
         elif cost:
             floor = cost[1] + cost[2] + cost[3]
-            dist += cost[0]
         else:
             continue
-        m += 1
         known += floor
-    budget = _violation_budget(_objective(inst, m, dist) if exact else low, rate, below)
+    budget = _violation_budget(low, rate, below)
     for i, floor in floors.items():
         if known > budget:
             return None
-        cost = _amr_cost(inst, amrs[i], caches, budget - known + floor)
+        cost = _amr_cost(inst, change[i], caches, budget - known + floor)
         if cost is None:
             return None
         costs[i] = cost
         known += cost[1] + cost[2] + cost[3] - floor
-    if exact:
-        return costs if known <= budget else None
     return costs if _fold(inst, costs).objective + rate * known < below else None
 
 
-def solution_cost(inst: Instance, sol: Solution,
-                  below: float | None = None) -> CostSummary | None:
+def solution_cost(inst: Instance, sol: Solution) -> CostSummary:
     """Memoized aggregate cost of a solution; same numbers as
-    evaluate_solution but without per-node profiles.
-
-    Without ``below`` it prices in full.  With a number, ``inf`` included,
-    the result is None exactly when the penalized cost is ``>= below``, and
-    AMRs are walked only until that is certain; only complete summaries are
-    memoized.
+    evaluate_solution but without per-node profiles.  It prices in full;
+    the search prices a move against a price to beat with ``_price_within``.
 
     The solution must be structurally valid (see check_solution_structure);
     this is not checked.  The search only builds such solutions, and plans
@@ -421,17 +395,8 @@ def solution_cost(inst: Instance, sol: Solution,
     if result is None:
         # Price every AMR before summing: summing as each AMR was priced
         # raised an oracle-verify benchmark run's peak RSS from 74 to 81 MiB.
-        costs = [caches["amr"].get(trips) for trips in sol.amrs]
-        for cost in costs:
-            if cost.__class__ is not tuple:     # None, or a violation floor
-                costs = _price_within(inst, sol.amrs, costs, caches,
-                                      inst.cost.tw_penalty, below)
-                if costs is None:
-                    return None
-                break
+        costs = [_amr_cost(inst, trips, caches) for trips in sol.amrs]
         result = _put(cache, sol.amrs, _fold(inst, costs), _SOL_CACHE_LIMIT)
-    if below is not None and result.penalized >= below:
-        return None
     return result
 
 

@@ -2,11 +2,19 @@
 
 All operators are pure: they never mutate the incoming solution (one with
 nothing to change may come back as is) and consume randomness only from the
-explicit rng argument.  Moves that target time-window trouble use the
-chance-violating request nodes of the incoming solution's ``CostSummary``;
-when nothing violates they fall back to the uniform random variant.  Every
-operator preserves the multiset of request nodes and the trip shape (depot at
-both ends, none inside), so ``solution_cost`` can skip the structure check.
+explicit rng argument.  Every operator preserves the multiset of request
+nodes and the trip shape (depot at both ends, none inside), so
+``solution_cost`` can skip the structure check.
+
+A neighborhood move reads the incumbent's ``_plan_index`` and
+``CostSummary``, whose chance-violating requests it targets (it falls back
+to a uniform random move when nothing violates), and returns (bound,
+change), as the shake's candidates are priced: ``bound`` lies strictly
+below the changed plan's objective, from the legs the move cuts and adds
+and the AMR it may empty, and ``change`` maps an AMR index to its new trips
+(an emptied trip dropped, () for an AMR left with none).  The change is
+built only when the bound is under the incumbent's penalized cost, the
+price a move must beat; else, and when there is no move, it is None.
 """
 
 from __future__ import annotations
@@ -19,31 +27,26 @@ from .model import DEPOT, Instance, Solution, StructuralError, normalize_solutio
 from .evaluation import _BATTERY_EPS, _LOAD_EPS, _amr_cost, _fold, _price_within
 
 
-def _to_lists(sol: Solution) -> list[list[list[int]]]:
-    return [[list(t) for t in amr] for amr in sol.amrs]
-
-
-def _request_positions(inst: Instance, amrs) -> list[tuple[int, int, int]]:
-    out = []
+def _plan_index(inst: Instance, sol: Solution):
+    """What the moves read of an incumbent: (sol, its trips as
+    ``_shake_trips`` lists them, each trip's request indices, every request
+    position as (trip, index) in plan order)."""
     n = inst.n_requests
-    for a, amr in enumerate(amrs):
-        for t, trip in enumerate(amr):
-            for i, node in enumerate(trip):
-                if 1 <= node <= n:
-                    out.append((a, t, i))
-    return out
+    flat = _shake_trips(sol)
+    idxs = [[i for i, node in enumerate(trip) if 1 <= node <= n] for _, _, trip in flat]
+    return sol, flat, idxs, [(k, i) for k, ii in enumerate(idxs) for i in ii]
 
 
-def _violator_at(lists, positions, evaluation, rng):
-    """Position of a violating request of ``evaluation``, drawn with ``rng``
+def _violator_at(flat, positions, evaluation, bits):
+    """Position of a violating request of ``evaluation``, drawn with ``bits``
     when there are several; None when nothing violates."""
     viol = evaluation.violating
     if not viol:
         return None
-    v = viol[rng.randrange(len(viol))] if len(viol) > 1 else viol[0]
-    for a, t, i in positions:
-        if lists[a][t][i] == v:
-            return a, t, i
+    v = viol[_below(bits, len(viol))] if len(viol) > 1 else viol[0]
+    for k, i in positions:
+        if flat[k][2][i] == v:
+            return k, i
     raise StructuralError(f"node {v} not present in solution")
 
 
@@ -51,31 +54,29 @@ def _violator_at(lists, positions, evaluation, rng):
 # neighborhood moves
 
 
-def swap_star(inst: Instance, sol: Solution, evaluation, rng: random.Random) -> Solution:
+def swap_star(inst: Instance, plan, evaluation, rng: random.Random):
     """Exchange the positions of two requests.
 
     With a chance violation present, the violating request is swapped with a
     looser-window partner: the earliest-positioned one on its own trip (this
     provably clears any hard-ordering pair involving the violator), falling
     back to the loosest close anywhere (ties to the smallest id).  Otherwise
-    two uniformly random requests swap.
+    two uniformly random requests swap.  Returns (bound, change) (see the
+    module docstring), or (inf, None) with fewer than two requests.
     """
-    lists = _to_lists(sol)
-    positions = _request_positions(inst, lists)
+    _, flat, _, positions = plan
     if len(positions) < 2:
-        return sol
-    at = _violator_at(lists, positions, evaluation, rng)
-    partner = _loosest_partner(inst, lists, positions, at) if at else None
-    if partner:
-        pairs = [at, partner]
-    else:
-        pairs = [positions[k] for k in rng.sample(range(len(positions)), 2)]
-    (a1, t1, i1), (a2, t2, i2) = pairs
-    lists[a1][t1][i1], lists[a2][t2][i2] = lists[a2][t2][i2], lists[a1][t1][i1]
-    return normalize_solution(lists)
+        return math.inf, None
+    bits = rng.getrandbits
+    at = _violator_at(flat, positions, evaluation, bits)
+    partner = _loosest_partner(inst, flat, positions, at) if at else None
+    if not partner:
+        i, j = _two_below(bits, len(positions))
+        at, partner = positions[i], positions[j]
+    return _swap(inst, plan, evaluation, *sorted((at, partner)))
 
 
-def _loosest_partner(inst, lists, positions, at):
+def _loosest_partner(inst, flat, positions, at):
     """Swap partner for the violating request at ``at``.
 
     Same trip first: the earliest looser-close request ahead of the violator
@@ -84,46 +85,77 @@ def _loosest_partner(inst, lists, positions, at):
     predecessor the loosest close on any other trip wins, smallest id on
     ties; None means no looser partner exists anywhere.
     """
-    va, vt, vi = at
-    trip = lists[va][vt]
+    vk, vi = at
+    trip = flat[vk][2]
     close, n = inst.window_close, inst.n_requests
     h_v = close[trip[vi]]
     for i in range(1, vi):
         if 1 <= trip[i] <= n and close[trip[i]] > h_v:
-            return va, vt, i
-    best = min(((-close[node], inst.request_at(node).id, (a, t, i))
-                for a, t, i in positions
-                if (a != va or t != vt) and close[node := lists[a][t][i]] > h_v),
+            return vk, i
+    best = min(((-close[node], inst.request_at(node).id, (k, i))
+                for k, i in positions
+                if k != vk and close[node := flat[k][2][i]] > h_v),
                default=None)
     return best[2] if best else None
 
 
-def two_opt_star(inst: Instance, sol: Solution, evaluation,
-                 rng: random.Random) -> Solution:
+def _swap(inst, plan, now, p, q):
+    """The move that swaps the requests at positions p < q."""
+    sol, flat = plan[0], plan[1]
+    d = inst.distance
+    (k1, i1), (k2, i2) = p, q
+    t1, t2 = flat[k1][2], flat[k2][2]
+    x, y = t1[i1], t2[i2]
+    u, b, c, w = t1[i1 - 1], t1[i1 + 1], t2[i2 - 1], t2[i2 + 1]
+    if b == y:          # adjacent: u x y w becomes u y x w
+        removed = d[u][x] + d[x][y] + d[y][w]
+        added = d[u][y] + d[y][x] + d[x][w]
+    else:
+        removed = d[u][x] + d[x][b] + d[c][y] + d[y][w]
+        added = d[u][y] + d[y][b] + d[c][x] + d[x][w]
+    bound = _bound(inst, now, 0, removed, added)
+    if bound >= now.penalized:
+        return bound, None
+    if k1 == k2:
+        return bound, _change(sol, flat, k1,
+                              t1[:i1] + (y,) + t1[i1 + 1:i2] + (x,) + t1[i2 + 1:])
+    return bound, _change(sol, flat, k1, t1[:i1] + (y,) + t1[i1 + 1:],
+                          k2, t2[:i2] + (x,) + t2[i2 + 1:])
+
+
+def two_opt_star(inst: Instance, plan, evaluation, rng: random.Random):
     """Reverse a span inside one trip.
 
     Targets the first maximal run of strictly decreasing window closes; when
     no such run exists the span between two random requests of a random trip
-    is reversed.
+    is reversed.  Returns (bound, change), or (inf, None) when no trip has
+    two requests.
     """
-    lists = _to_lists(sol)
-    n = inst.n_requests
-    eligible = []       # (trip, its request indices) with two requests or more
-    for trip in itertools.chain.from_iterable(lists):
-        idxs = [i for i, node in enumerate(trip) if 1 <= node <= n]
-        run = _decreasing_run(inst.window_close, trip, idxs)
+    _, flat, idxs, _ = plan
+    eligible = []       # the trips with two requests or more
+    for k, (_, _, trip) in enumerate(flat):
+        run = _decreasing_run(inst.window_close, trip, idxs[k])
         if run is not None:
             break
-        if len(idxs) >= 2:
-            eligible.append((trip, idxs))
+        if len(idxs[k]) >= 2:
+            eligible.append(k)
     else:               # no run: a random span of a random eligible trip
         if not eligible:
-            return sol
-        trip, idxs = eligible[rng.randrange(len(eligible))]
-        run = sorted(rng.sample(idxs, 2))
-    i, j = run
-    trip[i:j + 1] = reversed(trip[i:j + 1])
-    return normalize_solution(lists)
+            return math.inf, None
+        bits = rng.getrandbits
+        k = eligible[_below(bits, len(eligible))]
+        run = sorted(idxs[k][h] for h in _two_below(bits, len(idxs[k])))
+    return _reverse(inst, plan, evaluation, k, *run)
+
+
+def _reverse(inst, plan, now, k, i, j):
+    """The move that reverses the span from index i to index j of trip k."""
+    trip = plan[1][k][2]
+    bound = _reversal_bound(inst, now, trip, i, j + 1)
+    if bound >= now.penalized:
+        return bound, None
+    return bound, _change(plan[0], plan[1], k,
+                          trip[:i] + trip[i:j + 1][::-1] + trip[j + 1:])
 
 
 def _decreasing_run(close, trip, idxs):
@@ -139,42 +171,112 @@ def _decreasing_run(close, trip, idxs):
     return None
 
 
-def relocation_star(inst: Instance, sol: Solution, evaluation,
-                    rng: random.Random) -> Solution:
+def _reversal_bound(inst, now, trip, i, j):
+    """The bound of reversing ``trip[i:j]`` on ``now``'s plan: its two end
+    legs change, and its interior legs are driven backwards."""
+    d = inst.distance
+    u, w = trip[i - 1], trip[j]
+    removed = d[u][trip[i]] + d[trip[j - 1]][w]
+    added = d[u][trip[j - 1]] + d[trip[i]][w]
+    for h in range(i, j - 1):
+        removed += d[trip[h]][trip[h + 1]]
+        added += d[trip[h + 1]][trip[h]]
+    return _bound(inst, now, 0, removed, added)
+
+
+def relocation_star(inst: Instance, plan, evaluation, rng: random.Random):
     """Remove one request and reinsert it.
 
     A violating request moves immediately before the first same-trip request
     with a later window close; otherwise a random request moves to a random
-    interior slot of a random trip (possibly its own position).
+    interior slot of a random trip (possibly its own position).  Returns
+    (bound, change), or (inf, None) with fewer than two requests.
     """
-    lists = _to_lists(sol)
-    positions = _request_positions(inst, lists)
+    _, flat, idxs, positions = plan
     if len(positions) < 2:
-        return sol
-    at = _violator_at(lists, positions, evaluation, rng)
+        return math.inf, None
+    bits = rng.getrandbits
+    at = _violator_at(flat, positions, evaluation, bits)
     if at is not None:
-        va, vt, vi = at
-        trip = lists[va][vt]
-        v = trip[vi]
-        h_v = inst.window_close[v]
-        target = next(
-            (i for i, n in enumerate(trip)
-             if inst.is_request(n) and n != v and inst.window_close[n] > h_v),
-            None,
-        )
+        k, vi = at
+        trip, close = flat[k][2], inst.window_close
+        target = next((i for i in idxs[k] if close[trip[i]] > close[trip[vi]]), None)
         if target is not None:
-            trip.pop(vi)
-            if target > vi:
-                target -= 1
-            trip.insert(target, v)
-            return normalize_solution(lists)
-    a, t, i = positions[rng.randrange(len(positions))]
-    node = lists[a][t].pop(i)
-    flat = [(aa, tt) for aa, amr in enumerate(lists) for tt in range(len(amr))]
-    ta, tt = flat[rng.randrange(len(flat))]
-    slot = rng.randrange(1, len(lists[ta][tt]))
-    lists[ta][tt].insert(slot, node)
-    return normalize_solution(lists)
+            return _relocate(inst, plan, evaluation, at, k, target - (target > vi))
+    at = positions[_below(bits, len(positions))]
+    k = _below(bits, len(flat))
+    # an interior slot of trip k once the request is out of its own trip
+    slots = len(flat[k][2]) - 1 - (k == at[0])
+    return _relocate(inst, plan, evaluation, at, k, 1 + _below(bits, slots))
+
+
+def _relocate(inst, plan, now, at, k, s):
+    """The move that takes the request at ``at`` out of its trip and puts it
+    into slot ``s`` of trip ``k``, the slot counted after taking it out."""
+    sol, flat = plan[0], plan[1]
+    d = inst.distance
+    ko, i = at
+    a, _, trip = flat[ko]
+    v, p, q = trip[i], trip[i - 1], trip[i + 1]
+    dest = flat[k][2]
+    if k == ko:         # the neighbours of slot s once v is out
+        u, w = trip[s - 1 + (s > i)], trip[s + (s >= i)]
+    else:
+        u, w = dest[s - 1], dest[s]
+    # an AMR goes when its only trip is emptied; the leg p -> q is then 0
+    gone = k != ko and len(trip) == 3 and len(sol.amrs[a]) == 1
+    bound = _bound(inst, now, gone, d[p][v] + d[v][q] + d[u][w],
+                   d[p][q] + d[u][v] + d[v][w])
+    if bound >= now.penalized:
+        return bound, None
+    rest = trip[:i] + trip[i + 1:]
+    if k == ko:
+        return bound, _change(sol, flat, k, rest[:s] + (v,) + rest[s:])
+    return bound, _change(sol, flat, ko, rest, k, dest[:s] + (v,) + dest[s:])
+
+
+def _bound(inst, now, gone, removed, added):
+    """A bound strictly below the objective of ``now``'s plan after a move
+    that takes out legs summing to ``removed``, drives legs summing to
+    ``added`` and empties ``gone`` AMRs: its objective from ``now``, less a
+    relative slack for summing the legs in another order."""
+    rate, per_meter = inst.cost.fixed_per_amr, inst.cost.per_meter
+    low = rate * (now.m - gone) + per_meter * (now.distance - removed + added)
+    # far above the rounding of summing up to millions of legs anew
+    slack = 1e-9 * (now.objective + per_meter * added)
+    return math.nextafter(low - slack, -math.inf)
+
+
+def _change(sol, flat, i, trip_i, j=None, trip_j=None):
+    """A move's change: trip i of ``flat`` becomes ``trip_i`` and trip j, if
+    given, ``trip_j``.  Each changed AMR maps to its trips, where an emptied
+    trip is dropped and an AMR left with none gets ()."""
+    a1, t1, _ = flat[i]
+    if j is None:
+        return {a1: _with_trip(sol.amrs[a1], t1, trip_i)}
+    a2, t2, _ = flat[j]
+    if a1 != a2:
+        return {a1: _with_trip(sol.amrs[a1], t1, trip_i),
+                a2: _with_trip(sol.amrs[a2], t2, trip_j)}
+    trips = list(sol.amrs[a1])
+    trips[t1] = trip_i
+    trips[t2] = trip_j
+    return {a1: tuple([t for t in trips if len(t) > 2])}
+
+
+def _with_trip(trips, t, trip):
+    """trips with trip t replaced, or dropped when the new trip is empty."""
+    if len(trip) > 2:
+        return trips[:t] + (trip,) + trips[t + 1:]
+    return trips[:t] + trips[t + 1:]
+
+
+def _apply(sol, change):
+    """The plan ``sol`` becomes under a move's ``change``."""
+    amrs = list(sol.amrs)
+    for a, trips in change.items():
+        amrs[a] = trips
+    return Solution(amrs=tuple(trips for trips in amrs if trips))
 
 
 # ---------------------------------------------------------------------------
@@ -331,7 +433,7 @@ def shake_2opt_l(inst: Instance, sol: Solution, rng: random.Random,
                  candidates: int = 20, below: float = math.inf) -> Solution:
     """Best of L random inter-trip tail exchanges (by shake_cost); ties go to
     the first-drawn candidate.  With ``below`` the pick must also score
-    under it, as in ``solution_cost``; else ``sol`` comes back.
+    under it; else ``sol`` comes back.
 
     With fewer than two trips the move degrades to a best-of-L random
     intra-trip reversal.
@@ -342,15 +444,13 @@ def shake_2opt_l(inst: Instance, sol: Solution, rng: random.Random,
     reaches the best score.  A candidate changes one or two AMRs, so it is
     scored from the incumbent's per-AMR costs with only those re-priced,
     each walked only within the violation budget that its bound leaves under
-    the best score (a reversal's, exactly); only the winner becomes a plan.
+    the best score (``_price_within``); only the winner becomes a plan.
     """
     flat = _shake_trips(sol)
     if not flat or len(flat) == 1 and len(flat[0][2]) < 4:
         return sol      # no trip, or a lone trip too short to reverse
-    caches = inst._caches
-    amr_cache = caches["amr"]
     rate = inst.cost.fixed_per_amr
-    base = [_amr_cost(inst, trips, caches) for trips in sol.amrs]
+    base = [_amr_cost(inst, trips, inst._caches) for trips in sol.amrs]
     draws = _shake_draws(flat, rng.getrandbits, candidates)
 
     # The incumbent itself is not part of the generated neighborhood: the best
@@ -362,128 +462,95 @@ def shake_2opt_l(inst: Instance, sol: Solution, rng: random.Random,
         if bound >= best[0]:
             break
         change = _shake_change(sol, flat, draws[k])
-        amr_costs = base.copy()
-        for a, trips in change.items():
-            amr_costs[a] = amr_cache.get(trips) if trips else ()
         # an earlier draw also wins a tie: the score may equal the best
         limit = best[0] if k > best[1] else math.nextafter(best[0], math.inf)
-        amr_costs = _price_within(inst, change, amr_costs, caches, rate, limit, bound)
+        amr_costs = _price_within(inst, base, change, rate, limit, bound)
         if amr_costs is not None:   # its score is under the limit: it wins
             best, winner = (shake_cost(inst, _fold(inst, amr_costs)), k), change
-    if winner is None:
-        return sol
-    amrs = list(sol.amrs)
-    for a, trips in winner.items():
-        amrs[a] = trips
-    return Solution(amrs=tuple(trips for trips in amrs if trips))
+    return sol if winner is None else _apply(sol, winner)
 
 
 def _shake_bounds(inst, sol, flat, draws, now):
     """A (bound, draw index) pair per shake draw on ``sol``, whose summary
-    is ``now``.  A tail exchange swaps the two legs out of its cuts for the
-    two that cross over and may empty an AMR; its objective from ``now``,
-    less a relative slack for summing the legs in another order, is strictly
-    below the candidate's, and so below its score.  A reversal gets -inf."""
-    rate, per_meter = inst.cost.fixed_per_amr, inst.cost.per_meter
-    dmat, amrs, m, dist = inst.distance, sol.amrs, now.m, now.distance
+    is ``now`` (see ``_bound``): a tail exchange swaps the two legs out of
+    its cuts for the two that cross over and may empty an AMR, and a
+    reversal is bounded as 2-opt*'s is."""
+    dmat, amrs = inst.distance, sol.amrs
     bounds = []
     for k, draw in enumerate(draws):
         if len(draw) == 2:
-            bounds.append((-math.inf, k))
+            bounds.append((_reversal_bound(inst, now, flat[0][2], *draw), k))
             continue
         i, j, c1, c2 = draw
-        a1, _, trip1, _ = flat[i]
-        a2, _, trip2, _ = flat[j]
+        a1, _, trip1 = flat[i]
+        a2, _, trip2 = flat[j]
         u1, v1, u2, v2 = trip1[c1], trip1[c1 + 1], trip2[c2], trip2[c2 + 1]
-        added = dmat[u1][v2] + dmat[u2][v1]
         # an AMR goes when its only trip is emptied: depot to depot
         gone = a1 != a2 and ((u1 == v2 == DEPOT and len(amrs[a1]) == 1)
                              + (u2 == v1 == DEPOT and len(amrs[a2]) == 1))
-        low = rate * (m - gone) + per_meter * (
-            dist - dmat[u1][v1] - dmat[u2][v2] + added)
-        # far above the rounding of summing up to millions of legs anew
-        slack = 1e-9 * (now.objective + per_meter * added)
-        bounds.append((math.nextafter(low - slack, -math.inf), k))
+        bounds.append((_bound(inst, now, gone, dmat[u1][v1] + dmat[u2][v2],
+                              dmat[u1][v2] + dmat[u2][v1]), k))
     return bounds
 
 
 def _shake_trips(sol):
-    """Every trip of ``sol`` as (AMR index, trip index, trip, the bit count of
-    a cut index below its length - 1): what the shake draws from."""
-    return [(a, t, trip, (len(trip) - 1).bit_length())
-            for a, amr in enumerate(sol.amrs) for t, trip in enumerate(amr)]
+    """Every trip of ``sol`` as (AMR index, trip index, trip): what the
+    shake draws from."""
+    return [(a, t, trip) for a, amr in enumerate(sol.amrs) for t, trip in enumerate(amr)]
 
 
 def _shake_draws(flat, bits, count):
     """Draw ``count`` shake candidates' indices: (trip i, trip j, cut c1,
     cut c2) of ``flat`` for a tail exchange, or the (first, end) slice of the
-    lone trip's reversal, which must have two stops.
-
-    ``bits`` is a ``random.Random``'s ``getrandbits``, and the draws consume
-    its stream as ``sample`` and ``randint`` do: an index below n takes
-    ``bits(n.bit_length())`` until it lands below n (``_randbelow``), and
-    two distinct indices below n come as ``sample(range(n), 2)`` draws them,
-    the second below n - 1 and standing for n - 1 where it hits the first
-    when n <= 21, by rejection above."""
+    lone trip's reversal, which must have two stops.  ``bits`` is a
+    ``random.Random``'s ``getrandbits``, and the draws consume its stream
+    as ``sample(range(n), 2)`` and ``randint`` do (``_two_below``,
+    ``_below``)."""
     lone = len(flat) < 2
     n = len(flat[0][2]) - 2 if lone else len(flat)
-    k, k_pool = n.bit_length(), (n - 1).bit_length()
     draws = []
     for _ in range(count):
-        i = bits(k)
-        while i >= n:
-            i = bits(k)
-        if n <= 21:
-            j = bits(k_pool)
-            while j >= n - 1:
-                j = bits(k_pool)
-            if j == i:
-                j = n - 1
-        else:
-            j = bits(k)
-            while j >= n or j == i:
-                j = bits(k)
+        i, j = _two_below(bits, n)
         if lone:
             draws.append((i + 1, j + 2) if i < j else (j + 1, i + 2))
-            continue
-        _, _, trip, kc = flat[i]
-        cuts = len(trip) - 1
-        c1 = bits(kc)
-        while c1 >= cuts:
-            c1 = bits(kc)
-        _, _, trip, kc = flat[j]
-        cuts = len(trip) - 1
-        c2 = bits(kc)
-        while c2 >= cuts:
-            c2 = bits(kc)
-        draws.append((i, j, c1, c2))
+        else:
+            draws.append((i, j, _below(bits, len(flat[i][2]) - 1),
+                          _below(bits, len(flat[j][2]) - 1)))
     return draws
 
 
+def _below(bits, n):
+    """An index below n, drawn from ``bits`` (a ``random.Random``'s
+    ``getrandbits``) as ``Random._randbelow(n)``, and so ``randrange(n)``,
+    draws it: ``n.bit_length()`` bits until they land below n."""
+    k = n.bit_length()
+    r = bits(k)
+    while r >= n:
+        r = bits(k)
+    return r
+
+
+def _two_below(bits, n):
+    """Two distinct indices below n, as ``sample(range(n), 2)`` draws them:
+    for n <= 21 from a pool, the second below n - 1 and standing for n - 1
+    where it hits the first; by rejection above."""
+    i = _below(bits, n)
+    if n <= 21:
+        j = _below(bits, n - 1)
+        return i, n - 1 if j == i else j
+    j = _below(bits, n)
+    while j == i:
+        j = _below(bits, n)
+    return i, j
+
+
 def _shake_change(sol, flat, draw):
-    """The AMRs a drawn shake candidate changes: a dict of AMR index -> new
-    trips, where emptied trips are dropped and an AMR left with no trips
-    gets ()."""
+    """The change (see ``_change``) of a drawn shake candidate."""
     if len(draw) == 2:
-        a, _, trip, _ = flat[0]
         i, j = draw
-        return {a: (trip[:i] + trip[i:j][::-1] + trip[j:],)}
+        trip = flat[0][2]
+        return _change(sol, flat, 0, trip[:i] + trip[i:j][::-1] + trip[j:])
     i, j, c1, c2 = draw
-    a1, t1, trip1, _ = flat[i]
-    a2, t2, trip2, _ = flat[j]
-    new1 = trip1[:c1 + 1] + trip2[c2 + 1:]
-    new2 = trip2[:c2 + 1] + trip1[c1 + 1:]
-    if a1 != a2:
-        return {a1: _with_trip(sol.amrs[a1], t1, new1),
-                a2: _with_trip(sol.amrs[a2], t2, new2)}
-    trips = list(sol.amrs[a1])
-    trips[t1] = new1
-    trips[t2] = new2
-    return {a1: tuple([t for t in trips if len(t) > 2])}
-
-
-def _with_trip(trips, t, trip):
-    """trips with trip t replaced, or dropped when the new trip is empty."""
-    if len(trip) > 2:
-        return trips[:t] + (trip,) + trips[t + 1:]
-    return trips[:t] + trips[t + 1:]
+    trip1, trip2 = flat[i][2], flat[j][2]
+    return _change(sol, flat, i, trip1[:c1 + 1] + trip2[c2 + 1:],
+                   j, trip2[:c2 + 1] + trip1[c1 + 1:])

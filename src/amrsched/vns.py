@@ -18,11 +18,11 @@ import math
 import random
 
 from .model import DEPOT, Instance, Solution, StructuralError, normalize_solution
-from .evaluation import (_LOAD_EPS, _start_record, _walk_trip, evaluate_solution,
-                         solution_cost)
-from .operators import (_charge_amr, amr_decrease, charging_insert_repair,
-                        depot_insert_repair, relocation_star, shake_2opt_l,
-                        shake_cost, swap_star, two_opt_star)
+from .evaluation import (_LOAD_EPS, _amr_cost, _fold, _price_within, _start_record,
+                         _walk_trip, evaluate_solution, solution_cost)
+from .operators import (_apply, _charge_amr, _plan_index, amr_decrease,
+                        charging_insert_repair, depot_insert_repair, relocation_star,
+                        shake_2opt_l, shake_cost, swap_star, two_opt_star)
 
 _NEIGHBORHOODS = (swap_star, two_opt_star, relocation_star)
 
@@ -111,18 +111,25 @@ def local_search(inst: Instance, x: Solution, rng: random.Random) -> Solution:
     """Variable neighborhood descent over swap*, 2-opt*, relocation*.
 
     Each accepted move (strictly smaller penalized cost) resets to the first
-    neighborhood; three consecutive failures end the descent.  A candidate is
-    priced only until its penalized cost is certain to reach the incumbent's
-    (``solution_cost``'s ``below``, which an incumbent of inf also sets), so
-    most rejections stop early.
+    neighborhood; three consecutive failures end the descent.  A move comes
+    with an O(1) bound on its objective and is built only when the bound is
+    under the incumbent's penalized cost.  A built move is priced from the
+    incumbent's AMR records, its changed AMRs walked only until its verdict
+    is certain (``_price_within``), and only an accepted move becomes a plan.
     """
     cx = solution_cost(inst, x)
+    base = [_amr_cost(inst, trips, inst._caches) for trips in x.amrs]
+    plan = _plan_index(inst, x)
+    rate = inst.cost.tw_penalty
     k = 1
     while k <= len(_NEIGHBORHOODS):
-        candidate = _NEIGHBORHOODS[k - 1](inst, x, cx, rng)
-        cc = solution_cost(inst, candidate, cx.penalized)
-        if cc is not None:
-            x, cx = candidate, cc
+        bound, change = _NEIGHBORHOODS[k - 1](inst, plan, cx, rng)
+        costs = None if change is None else _price_within(
+            inst, base, change, rate, cx.penalized, bound)
+        if costs is not None:
+            x, cx = _apply(x, change), _fold(inst, costs)
+            base = [cost for cost in costs if cost]
+            plan = _plan_index(inst, x)
             k = 1
         else:
             k += 1

@@ -188,18 +188,36 @@ def reference_shake(inst: Instance, sol: Solution, rng: random.Random,
     return (best if best is not None else sol), built
 
 
-def reference_descent(inst: Instance, x: Solution, rng: random.Random) -> Solution:
-    """vns.local_search with every candidate priced in full: the descent
-    the bounded pricing must reproduce."""
+def built_move(op, inst: Instance, sol: Solution, evaluation, rng: random.Random):
+    """The plan that the neighborhood move ``op`` makes of ``sol``, whose
+    summary is ``evaluation``, built whatever its bound: the move is told
+    that it has no price to beat.  ``sol`` itself when there is no move."""
+    from amrsched.operators import _apply, _plan_index
+
+    unbounded = evaluation._replace(penalized=math.inf)
+    _, change = op(inst, _plan_index(inst, sol), unbounded, rng)
+    return sol if change is None else _apply(sol, change)
+
+
+def reference_descent(inst: Instance, x: Solution, rng: random.Random,
+                      taken=None) -> Solution:
+    """vns.local_search with every move built and priced in full, so that
+    it does not depend on the moves' bounds: the descent the bounded
+    pricing must reproduce.  ``taken``, a list, gets the incumbent, its
+    summary, the neighborhood and the generator's state before each
+    accepted move."""
     from amrsched.evaluation import solution_cost
     from amrsched.vns import _NEIGHBORHOODS
 
     cx = solution_cost(inst, x)
     k = 1
     while k <= len(_NEIGHBORHOODS):
-        candidate = _NEIGHBORHOODS[k - 1](inst, x, cx, rng)
+        state = rng.getstate()
+        candidate = built_move(_NEIGHBORHOODS[k - 1], inst, x, cx, rng)
         cc = solution_cost(inst, candidate)
         if cc.penalized < cx.penalized:
+            if taken is not None:
+                taken.append((x, cx, _NEIGHBORHOODS[k - 1], state))
             x, cx = candidate, cc
             k = 1
         else:

@@ -7,7 +7,7 @@ from collections import Counter
 import pytest
 
 from amrsched.model import DEPOT, Solution, StructuralError, solution_from_ids
-from amrsched.evaluation import (_MAX_COUNT, _amr_cost, _price_within, _start_record,
+from amrsched.evaluation import (_MAX_COUNT, _amr_cost, _fold, _price_within, _start_record,
                                  _violation_budget, _walk_trip, evaluate_solution,
                                  evaluate_trip, route_table, solution_cost,
                                  solution_to_dict)
@@ -166,10 +166,11 @@ def test_fast_path_agrees_with_reference():
 
 
 def test_bounded_pricing_is_exact():
-    """solution_cost(below=t) is None exactly when the full penalized cost
-    is >= t, and otherwise the full summary, for t one ulp below, at and one
-    ulp above it, with xi1 and xi3 at 0, 1e-300, 1e300 and 1e308 (where the
-    penalized cost overflows to inf, which a bound of inf rejects).  The
+    """_price_within on a whole plan, given its objective or -inf as the
+    bound, is None exactly when the full penalized cost is >= t, and
+    otherwise the records of the full summary, for t one ulp below, at and
+    one ulp above it, with xi1 and xi3 at 0, 1e-300, 1e300 and 1e308 (where
+    the penalized cost overflows to inf, which a price of inf rejects).  The
     violation floors the bounded calls leave in the AMR store never change
     an unbounded summary."""
     rng = random.Random(12)
@@ -187,16 +188,18 @@ def test_bounded_pricing_is_exact():
             inst = dataclasses.replace(base, cost=dataclasses.replace(
                 base.cost, fixed_per_amr=xi1, tw_penalty=xi3))
             full = [solution_cost(dataclasses.replace(inst), s) for s in sols]
-            calls = [(sol, summary, t) for sol, summary in zip(sols, full)
+            calls = [(sol, summary, t, low) for sol, summary in zip(sols, full)
                      for t in (math.nextafter(summary.penalized, -math.inf),
                                summary.penalized,
-                               math.nextafter(summary.penalized, math.inf))]
+                               math.nextafter(summary.penalized, math.inf))
+                     for low in (summary.objective, -math.inf)]
             rng.shuffle(calls)
-            for sol, summary, t in calls:
-                got = solution_cost(inst, sol, below=t)
+            for sol, summary, t, low in calls:
+                got = _price_within(inst, [None] * len(sol.amrs),
+                                    dict(enumerate(sol.amrs)), xi3, t, low)
                 assert (got is None) == (summary.penalized >= t)
                 if got is not None:
-                    assert got == summary
+                    assert _fold(inst, got) == summary
                 outcomes[got is None, not summary.feasible] += 1
             outcomes["stopped walks"] += sum(
                 type(v) is int and v > 0 for v in inst._caches["amr"].values())
@@ -260,7 +263,8 @@ def test_pricing_against_a_bound_gives_the_exact_verdict():
                 caches = inst._caches
                 costs = [caches["amr"].get(trips) for trips in sol.amrs]
                 outcomes["floors"] += any(type(c) is int for c in costs)
-                got = _price_within(inst, sol.amrs, costs, caches, rate, below, low)
+                got = _price_within(inst, [None] * len(costs), dict(enumerate(sol.amrs)),
+                                    rate, below, low)
                 assert (got is None) == (score >= below), (case, low, below)
                 if got is not None:
                     assert got == exact

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import random
 from collections import Counter
@@ -10,13 +11,15 @@ from amrsched.model import (DEPOT, Solution, StructuralError,
                             normalize_solution, solution_from_ids)
 from amrsched import evaluation
 from amrsched.evaluation import evaluate_solution, solution_cost
-from amrsched.operators import (_shake_bounds, _shake_change, _shake_draws,
-                                _shake_trips, amr_decrease,
+from amrsched.operators import (_apply, _below, _decreasing_run, _loosest_partner,
+                                _plan_index, _relocate, _reverse, _shake_bounds,
+                                _shake_change, _shake_draws, _shake_trips, _swap,
+                                _two_below, _violator_at, amr_decrease,
                                 charging_insert_repair, depot_insert_repair,
                                 relocation_star, shake_2opt_l, shake_cost,
                                 swap_star, two_opt_star)
 from amrsched.vns import feasible_operation, greedy_initial, local_search
-from helpers import (paper_optimum, random_instance, random_solution,
+from helpers import (built_move, paper_optimum, random_instance, random_solution,
                      reference_descent, reference_merge, reference_shake)
 
 
@@ -37,7 +40,7 @@ def test_swap_star_targets_violating_request(hospital12):
                                    [[7, 8, 10, 11, 12]]])
     ev = solution_cost(inst, sol)
     assert ev.violating == (inst.node_of_id[1],)
-    out = swap_star(inst, sol, ev, random.Random(0))
+    out = built_move(swap_star, inst, sol, ev, random.Random(0))
     labels = [inst.node_label(n) for n in out.amrs[0][0]]
     assert labels == ["d", "1", "9", "d"]
     assert request_multiset(inst, out) == request_multiset(inst, sol)
@@ -48,7 +51,7 @@ def test_swap_star_random_branch_swaps_two(hospital12):
     sol = paper_optimum(inst)
     ev = solution_cost(inst, sol)
     assert not ev.violating
-    out = swap_star(inst, sol, ev, random.Random(7))
+    out = built_move(swap_star, inst, sol, ev, random.Random(7))
     assert request_multiset(inst, out) == request_multiset(inst, sol)
     moved = [n for n in range(1, 13)
              if _position(inst, out, n) != _position(inst, sol, n)]
@@ -59,7 +62,7 @@ def test_swap_star_single_request_unchanged():
     rng = random.Random(1)
     inst = random_instance(rng, 1)
     sol = solution_from_ids(inst, [[[1]]])
-    assert swap_star(inst, sol, solution_cost(inst, sol), rng) == sol
+    assert built_move(swap_star, inst, sol, solution_cost(inst, sol), rng) == sol
 
 
 def test_swap_star_cross_trip_fallback_takes_loosest_smallest_id(hospital12):
@@ -73,7 +76,7 @@ def test_swap_star_cross_trip_fallback_takes_loosest_smallest_id(hospital12):
     ev = solution_cost(inst, sol)
     assert ev.violating == (inst.node_of_id[1],)
     rng = random.Random(0)
-    out = swap_star(inst, sol, ev, rng)
+    out = built_move(swap_star, inst, sol, ev, rng)
     assert out == solution_from_ids(inst, [[[12], [7]], [[2, 3]], [[4]],
                                            [[5, 6]], [[11, 10]], [[9, 8, 1]]])
     assert rng.random() == random.Random(0).random()   # a lone violator: no draw
@@ -97,7 +100,7 @@ def test_two_opt_star_reverses_decreasing_run(hospital12):
     inst = hospital12
     # closes: 9 -> 11:00, 5 -> 8:50, 1 -> 8:20 is a strictly decreasing run
     sol = solution_from_ids(inst, [[[9, 5, 1]], [[2, 3, 4, 6]], [[7, 8, 10, 11, 12]]])
-    out = two_opt_star(inst, sol, solution_cost(inst, sol), random.Random(0))
+    out = built_move(two_opt_star, inst, sol, solution_cost(inst, sol), random.Random(0))
     labels = [inst.node_label(n) for n in out.amrs[0][0]]
     assert labels == ["d", "1", "5", "9", "d"]
     assert request_multiset(inst, out) == request_multiset(inst, sol)
@@ -109,7 +112,7 @@ def test_two_opt_star_reverses_first_run_in_plan_order(hospital12):
     # AMR 1; equal closes (2, 3, 4) are no run.
     sol = solution_from_ids(inst, [[[2, 3, 4], [9, 5]], [[10, 6, 1]],
                                    [[7, 8, 11, 12]]])
-    out = two_opt_star(inst, sol, solution_cost(inst, sol), random.Random(0))
+    out = built_move(two_opt_star, inst, sol, solution_cost(inst, sol), random.Random(0))
     assert out == solution_from_ids(inst, [[[2, 3, 4], [5, 9]], [[10, 6, 1]],
                                            [[7, 8, 11, 12]]])
 
@@ -130,7 +133,7 @@ def test_two_opt_star_random_reversal_of_adjacent_pair():
                      for r in inst.requests)
         inst2 = dataclasses.replace(inst, requests=reqs)
     sol = solution_from_ids(inst2, [[[1, 2, 3, 4]]])
-    out = two_opt_star(inst2, sol, solution_cost(inst2, sol), random.Random(3))
+    out = built_move(two_opt_star, inst2, sol, solution_cost(inst2, sol), random.Random(3))
     assert request_multiset(inst2, out) == request_multiset(inst2, sol)
     assert out != sol  # some span reversed
 
@@ -143,7 +146,7 @@ def test_two_opt_star_no_eligible_trip():
                  for r in inst.requests)
     inst = dataclasses.replace(inst, requests=reqs)
     sol = solution_from_ids(inst, [[[1]], [[2]]])
-    assert two_opt_star(inst, sol, solution_cost(inst, sol), rng) == sol
+    assert built_move(two_opt_star, inst, sol, solution_cost(inst, sol), rng) == sol
 
 
 # ---------------------------------------------------------------------------
@@ -159,7 +162,7 @@ def test_relocation_star_moves_violator_before_later_window(hospital12):
                                    [[10, 11, 12]]])
     ev = solution_cost(inst, sol)
     assert ev.violating == (inst.node_of_id[1],)
-    out = relocation_star(inst, sol, ev, random.Random(0))
+    out = built_move(relocation_star, inst, sol, ev, random.Random(0))
     labels = [inst.node_label(n) for n in out.amrs[0][0]]
     assert labels == ["d", "1", "5", "9", "d"]
 
@@ -175,8 +178,8 @@ def test_relocation_star_random_identity_allowed():
     sol = solution_from_ids(inst, [[[1, 2, 3]]])
     seen_identity = False
     for seed in range(40):
-        out = relocation_star(inst, sol, solution_cost(inst, sol),
-                              random.Random(seed))
+        out = built_move(relocation_star, inst, sol, solution_cost(inst, sol),
+                         random.Random(seed))
         assert request_multiset(inst, out) == request_multiset(inst, sol)
         if out == sol:
             seen_identity = True
@@ -561,10 +564,13 @@ def test_memos_capped_at_three_change_no_cost_and_no_shake(monkeypatch):
 
 
 def test_shake_draws_are_the_generators():
-    """The shake's inline getrandbits draws are random.Random's: a cut below
-    n is ``_randbelow(n)`` (n = 1..70), two trips or two reversal ends are
-    ``sample(range(n), 2)`` (n = 2..70: the pool up to 21, rejection above),
-    and the generator ends in the state those calls leave."""
+    """The shake's and the moves' getrandbits draws are random.Random's: a
+    cut below n is ``_randbelow(n)`` (n = 1..70), two trips or two reversal
+    ends are ``sample(range(n), 2)`` (n = 2..70: the pool up to 21,
+    rejection above), the moves' ``_below`` and ``_two_below`` give
+    ``randrange(n)``, ``randrange(1, n)``, ``sample(range(n), 2)`` and
+    ``sample(idxs, 2)``, and the generator ends in the state those calls
+    leave."""
     def kept(trip):
         return (trip,) if len(trip) > 2 else ()
 
@@ -603,12 +609,23 @@ def test_shake_draws_are_the_generators():
                 i, j = sorted(ref.sample(range(1, n + 1), 2))
                 return {0: (trip[:i] + trip[i:j + 1][::-1] + trip[j + 1:],)}
             check(Solution(amrs=((trip,),)), seed, reversal)
+        for n in range(1, 71):      # the moves' draws
+            rng, ref = random.Random(seed), random.Random(seed)
+            bits = rng.getrandbits
+            assert _below(bits, n) == ref.randrange(n)
+            if n > 1:
+                idxs = random.Random(n).sample(range(1, 100), n)
+                assert 1 + _below(bits, n - 1) == ref.randrange(1, n)
+                assert _two_below(bits, n) == tuple(ref.sample(range(n), 2))
+                assert (tuple(idxs[h] for h in _two_below(bits, n))
+                        == tuple(ref.sample(idxs, 2)))
+            assert rng.getstate() == ref.getstate()
 
 
 def _exchange(sol, flat, draw):
     """The tail exchange ``draw`` of ``sol``, built and normalized in full."""
     i, j, c1, c2 = draw
-    (a1, t1, trip1, _), (a2, t2, trip2, _) = flat[i], flat[j]
+    (a1, t1, trip1), (a2, t2, trip2) = flat[i], flat[j]
     lists = [list(amr) for amr in sol.amrs]
     lists[a1][t1] = trip1[:c1 + 1] + trip2[c2 + 1:]
     lists[a2][t2] = trip2[:c2 + 1] + trip1[c1 + 1:]
@@ -633,8 +650,8 @@ def test_shake_bound_is_strictly_below_every_exchange(hospital12_path,
             sol = random_solution(rng, inst)
             flat = _shake_trips(sol)
             draws = [(i, j, c1, c2)
-                     for i, (_, _, trip1, _) in enumerate(flat)
-                     for j, (_, _, trip2, _) in enumerate(flat) if i != j
+                     for i, (_, _, trip1) in enumerate(flat)
+                     for j, (_, _, trip2) in enumerate(flat) if i != j
                      for c1 in range(len(trip1) - 1)
                      for c2 in range(len(trip2) - 1)]
             bounds = _shake_bounds(inst, sol, flat, draws, solution_cost(inst, sol))
@@ -644,6 +661,111 @@ def test_shake_bound_is_strictly_below_every_exchange(hospital12_path,
                 checked += 1
                 emptied += len(cand.amrs) < len(sol.amrs)
     assert checked > 20_000 and emptied > 500
+
+
+def _asymmetric(rng, inst):
+    """``inst`` with a distance table that differs both ways.  Instance
+    refuses an asymmetric matrix, so the copy's table is replaced after
+    construction; the walk and the bounds read the same table."""
+    n = len(inst.distance)
+    copy = dataclasses.replace(inst)
+    copy.distance = tuple(
+        tuple(0.0 if i == j else inst.distance[i][j] * rng.uniform(0.2, 1.8)
+              for j in range(n)) for i in range(n))
+    return copy
+
+
+def test_every_move_bound_is_strictly_below_its_objective(hospital12_path,
+                                                          hospital64_path):
+    """The bound of every swap, relocation and reversal of random plans,
+    and of every lone-trip shake reversal, is strictly below the objective
+    solution_cost gives the built move: on the shipped instances, random
+    plain and tight-battery ones, with xi2 = 0 and with an asymmetric
+    distance table."""
+    rng = random.Random(47)
+    insts = [load_instance(path) for path in (hospital12_path, hospital64_path)]
+    insts += [random_instance(rng, rng.randint(2, 9), tight_battery=case % 2 == 1)
+              for case in range(12)]
+    insts += [dataclasses.replace(inst, cost=dataclasses.replace(
+        inst.cost, per_meter=0.0)) for inst in insts[:5]]
+    insts += [_asymmetric(rng, inst) for inst in insts[:5]]
+    seen = Counter()
+
+    def check(inst, sol, move, kind):
+        bound, change = move
+        built = _apply(sol, change)
+        assert bound < solution_cost(inst, built).objective, (kind, sol, built)
+        seen[kind] += 1
+        seen["emptied trip"] += sum(map(len, built.amrs)) < sum(map(len, sol.amrs))
+        seen["emptied amr"] += len(built.amrs) < len(sol.amrs)
+
+    for inst in insts:
+        for sol in (random_solution(rng, inst, max_trip=4), random_solution(rng, inst)):
+            plan = _plan_index(inst, sol)
+            _, flat, _, positions = plan
+            now = solution_cost(inst, sol)._replace(penalized=math.inf)
+            for p, q in itertools.combinations(positions, 2):
+                adjacent = p[0] == q[0] and q[1] == p[1] + 1
+                check(inst, sol, _swap(inst, plan, now, p, q),
+                      "adjacent swap" if adjacent else "swap")
+            for at, k in itertools.product(positions, range(len(flat))):
+                for s in range(1, len(flat[k][2]) - (k == at[0])):
+                    check(inst, sol, _relocate(inst, plan, now, at, k, s),
+                          "same-trip relocation" if k == at[0] else "relocation")
+            for k, (_, _, trip) in enumerate(flat):
+                for i, j in itertools.combinations(range(1, len(trip) - 1), 2):
+                    check(inst, sol, _reverse(inst, plan, now, k, i, j), "reversal")
+        # a lone trip: the shake reverses a slice of two stops or more
+        lone = normalize_solution([[(DEPOT, *range(1, inst.n_requests + 1), DEPOT)]])
+        flat = _shake_trips(lone)
+        draws = [(i, j) for i in range(1, len(flat[0][2]))
+                 for j in range(i + 2, len(flat[0][2]))]
+        bounds = _shake_bounds(inst, lone, flat, draws, solution_cost(inst, lone))
+        for (bound, k), draw in zip(bounds, draws):
+            check(inst, lone, (bound, _shake_change(lone, flat, draw)), "lone reversal")
+    assert len(seen) == 8 and all(seen.values()), seen
+
+
+def test_targeted_moves_descend_as_full_pricing_does():
+    """On tight-window random plans, where moves target chance violations,
+    local_search returns reference_descent's plan and leaves the generator
+    where it does, and targeted swaps, targeted relocations and
+    decreasing-run reversals are among the moves taken."""
+    rng = random.Random(53)
+    kinds = Counter()
+    for case in range(60):
+        inst = random_instance(rng, rng.randint(3, 10), tight_windows=True,
+                               tight_battery=case % 3 == 0)
+        sol = random_solution(rng, inst, max_trip=rng.randint(2, 6))
+        for seed in range(2):
+            got_rng, ref_rng = random.Random(seed), random.Random(seed)
+            taken = []
+            assert local_search(inst, sol, got_rng) == reference_descent(
+                dataclasses.replace(inst), sol, ref_rng, taken)
+            assert got_rng.getstate() == ref_rng.getstate()
+            for x, cx, op, state in taken:
+                kinds[op.__name__, _targeted(inst, x, cx, op, state)] += 1
+    assert all(kinds[name, True] for name in
+               ("swap_star", "two_opt_star", "relocation_star")), kinds
+
+
+def _targeted(inst, x, cx, op, state):
+    """Whether the move ``op`` makes of ``x`` from the generator ``state``
+    takes its targeted branch: 2-opt* a decreasing run, swap* and
+    relocation* a violator with a partner or a later-close request."""
+    _, flat, idxs, positions = _plan_index(inst, x)
+    if op is two_opt_star:
+        return any(_decreasing_run(inst.window_close, trip, idxs[k]) is not None
+                   for k, (_, _, trip) in enumerate(flat))
+    rng = random.Random()
+    rng.setstate(state)
+    at = _violator_at(flat, positions, cx, rng.getrandbits)
+    if at is None:
+        return False
+    if op is swap_star:
+        return _loosest_partner(inst, flat, positions, at) is not None
+    (k, vi), close = at, inst.window_close
+    return any(close[flat[k][2][i]] > close[flat[k][2][vi]] for i in idxs[k])
 
 
 def test_shake_below_gates_the_pick(hospital12_path, hospital64_path):
@@ -746,7 +868,7 @@ def test_operators_preserve_requests_random_sweep():
                                tight_battery=case % 2 == 1)
         sol = random_solution(rng, inst)
         ev = solution_cost(inst, sol)
-        outs = [op(inst, sol, ev, rng)
+        outs = [built_move(op, inst, sol, ev, rng)
                 for op in (swap_star, two_opt_star, relocation_star)]
         outs.append(shake_2opt_l(inst, sol, rng, candidates=5))
         outs.append(depot_insert_repair(inst, sol))
@@ -765,7 +887,7 @@ def test_swap_star_targeted_removes_forbidden_pair(hospital12):
     sol = solution_from_ids(inst, [[[9, 1, 3]], [[2, 4, 5, 6]],
                                    [[7, 8, 10, 11, 12]]])
     ev = solution_cost(inst, sol)
-    out = swap_star(inst, sol, ev, random.Random(0))
+    out = built_move(swap_star, inst, sol, ev, random.Random(0))
     trip = out.amrs[0][0]
     pos = {inst.node_label(n): i for i, n in enumerate(trip)}
     if "1" in pos and "9" in pos:
@@ -801,7 +923,7 @@ def test_swap_star_targeted_clears_hard_pairs_random_sweep():
         has_same_trip_partner = any(
             inst.is_request(n) and inst.window_close[n] > inst.window_close[v]
             for n in home[:home.index(v)])
-        out = swap_star(inst, sol, ev, random.Random(pick_seed))
+        out = built_move(swap_star, inst, sol, ev, random.Random(pick_seed))
         if not has_same_trip_partner:
             looser = [(-inst.window_close[n], inst.request_at(n).id, n)
                       for t in sol.trips() if v not in t for n in t
