@@ -260,7 +260,7 @@ def _put(store, key, value, cap):
     return value
 
 
-def _amr_cost(inst, trips, caches, limit=_MAX_COUNT):
+def _amr_cost(inst, trips, limit=_MAX_COUNT):
     """Cost record of one AMR's chained trips: (distance, window violations,
     capacity flags, battery flags, violating nodes, depot arrival mean,
     depot arrival variance, battery).  The memo holds one record per trip
@@ -273,7 +273,7 @@ def _amr_cost(inst, trips, caches, limit=_MAX_COUNT):
     exceeds returns None at once, any other walks again (a floor never
     stands for a prefix).  An exact record comes back whatever its count.
     """
-    cache = caches["amr"]
+    cache = inst._caches["amr"]
     hit = cache.get(trips)
     if hit.__class__ is tuple:
         return hit
@@ -354,10 +354,10 @@ def _price_within(inst, base, change, rate, below, low):
     than the exact one, so every stop is sound, and the filled records make
     the exact test.
     """
-    caches = inst._caches
+    cache = inst._caches["amr"]
     costs = base.copy()
     for a, trips in change.items():
-        costs[a] = caches["amr"].get(trips) if trips else ()
+        costs[a] = cache.get(trips) if trips else ()
     known = 0
     floors = {}
     for i, cost in enumerate(costs):
@@ -372,7 +372,7 @@ def _price_within(inst, base, change, rate, below, low):
     for i, floor in floors.items():
         if known > budget:
             return None
-        cost = _amr_cost(inst, change[i], caches, budget - known + floor)
+        cost = _amr_cost(inst, change[i], budget - known + floor)
         if cost is None:
             return None
         costs[i] = cost
@@ -389,13 +389,12 @@ def solution_cost(inst: Instance, sol: Solution) -> CostSummary:
     this is not checked.  The search only builds such solutions, and plans
     from outside enter through evaluate_solution or mc_validate, which check.
     """
-    caches = inst._caches
-    cache = caches["sol"]
+    cache = inst._caches["sol"]
     result = cache.get(sol.amrs)
     if result is None:
         # Price every AMR before summing: summing as each AMR was priced
         # raised an oracle-verify benchmark run's peak RSS from 74 to 81 MiB.
-        costs = [_amr_cost(inst, trips, caches) for trips in sol.amrs]
+        costs = [_amr_cost(inst, trips) for trips in sol.amrs]
         result = _put(cache, sol.amrs, _fold(inst, costs), _SOL_CACHE_LIMIT)
     return result
 

@@ -189,8 +189,8 @@ def relocation_star(inst: Instance, plan, evaluation, rng: random.Random):
 
     A violating request moves immediately before the first same-trip request
     with a later window close; otherwise a random request moves to a random
-    interior slot of a random trip (possibly its own position).  Returns
-    (bound, change), or (inf, None) with fewer than two requests.
+    interior slot of a random trip.  Returns (bound, change), or (inf, None)
+    with fewer than two requests or when the request lands in its own slot.
     """
     _, flat, idxs, positions = plan
     if len(positions) < 2:
@@ -212,10 +212,13 @@ def relocation_star(inst: Instance, plan, evaluation, rng: random.Random):
 
 def _relocate(inst, plan, now, at, k, s):
     """The move that takes the request at ``at`` out of its trip and puts it
-    into slot ``s`` of trip ``k``, the slot counted after taking it out."""
+    into slot ``s`` of trip ``k``, the slot counted after taking it out; no
+    move, (inf, None), when that is its own slot."""
     sol, flat = plan[0], plan[1]
     d = inst.distance
     ko, i = at
+    if k == ko and s == i:
+        return math.inf, None
     a, _, trip = flat[ko]
     v, p, q = trip[i], trip[i - 1], trip[i + 1]
     dest = flat[k][2]
@@ -393,15 +396,14 @@ def amr_decrease(inst: Instance, sol: Solution) -> Solution:
     third AMR) fails it without a walk; ``_amr_cost`` prices the merged AMR
     with a violation limit of 0, so its walk stops at the first violation.
     """
-    caches = inst._caches
     current = sol
     while len(current.amrs) > 1:
         amrs = current.amrs
         flagged = {i for i, trips in enumerate(amrs)
-                   if any(_amr_cost(inst, trips, caches)[1:4])}
+                   if any(_amr_cost(inst, trips)[1:4])}
         for a, b in itertools.permutations(range(len(amrs)), 2):
             if flagged <= {b}:
-                cost = _amr_cost(inst, amrs[a] + amrs[b], caches, 0)
+                cost = _amr_cost(inst, amrs[a] + amrs[b], 0)
                 if cost is not None and not any(cost[1:4]):
                     merged = list(amrs)
                     merged[a] += amrs[b]
@@ -438,30 +440,31 @@ def shake_2opt_l(inst: Instance, sol: Solution, rng: random.Random,
     With fewer than two trips the move degrades to a best-of-L random
     intra-trip reversal.
 
-    All L draws come first, each with an O(1) bound (``_shake_bounds``),
-    and are visited in ascending bound order; since a bound is strictly
+    Each draw is bounded as it is drawn (``_shake_candidates``), and the
+    draws are visited in ascending bound order; since a bound is strictly
     below its candidate's score, the visit ends at the first bound that
-    reaches the best score.  A candidate changes one or two AMRs, so it is
-    scored from the incumbent's per-AMR costs with only those re-priced,
-    each walked only within the violation budget that its bound leaves under
-    the best score (``_price_within``); only the winner becomes a plan.
+    reaches the best score.  A visited candidate is scored from the
+    incumbent's per-AMR costs with only its changed AMRs walked, within the
+    violation budget its bound leaves under the best score
+    (``_price_within``); only the winner becomes a plan.
     """
     flat = _shake_trips(sol)
     if not flat or len(flat) == 1 and len(flat[0][2]) < 4:
         return sol      # no trip, or a lone trip too short to reverse
     rate = inst.cost.fixed_per_amr
-    base = [_amr_cost(inst, trips, inst._caches) for trips in sol.amrs]
-    draws = _shake_draws(flat, rng.getrandbits, candidates)
+    base = [_amr_cost(inst, trips) for trips in sol.amrs]
+    entries = _shake_candidates(inst, sol, flat, rng.getrandbits, candidates,
+                                _fold(inst, base))
 
     # The incumbent itself is not part of the generated neighborhood: the best
     # candidate may be worse, and the delta acceptance rule downstream decides
     # whether the perturbation is kept.
     best = (below, -1)          # (score, draw index) to beat
     winner = None
-    for bound, k in sorted(_shake_bounds(inst, sol, flat, draws, _fold(inst, base))):
+    for bound, k, draw in sorted(entries):
         if bound >= best[0]:
             break
-        change = _shake_change(sol, flat, draws[k])
+        change = _shake_change(sol, flat, draw)
         # an earlier draw also wins a tie: the score may equal the best
         limit = best[0] if k > best[1] else math.nextafter(best[0], math.inf)
         amr_costs = _price_within(inst, base, change, rate, limit, bound)
@@ -470,53 +473,41 @@ def shake_2opt_l(inst: Instance, sol: Solution, rng: random.Random,
     return sol if winner is None else _apply(sol, winner)
 
 
-def _shake_bounds(inst, sol, flat, draws, now):
-    """A (bound, draw index) pair per shake draw on ``sol``, whose summary
-    is ``now`` (see ``_bound``): a tail exchange swaps the two legs out of
-    its cuts for the two that cross over and may empty an AMR, and a
-    reversal is bounded as 2-opt*'s is."""
-    dmat, amrs = inst.distance, sol.amrs
-    bounds = []
-    for k, draw in enumerate(draws):
-        if len(draw) == 2:
-            bounds.append((_reversal_bound(inst, now, flat[0][2], *draw), k))
-            continue
-        i, j, c1, c2 = draw
-        a1, _, trip1 = flat[i]
-        a2, _, trip2 = flat[j]
-        u1, v1, u2, v2 = trip1[c1], trip1[c1 + 1], trip2[c2], trip2[c2 + 1]
-        # an AMR goes when its only trip is emptied: depot to depot
-        gone = a1 != a2 and ((u1 == v2 == DEPOT and len(amrs[a1]) == 1)
-                             + (u2 == v1 == DEPOT and len(amrs[a2]) == 1))
-        bounds.append((_bound(inst, now, gone, dmat[u1][v1] + dmat[u2][v2],
-                              dmat[u1][v2] + dmat[u2][v1]), k))
-    return bounds
-
-
 def _shake_trips(sol):
     """Every trip of ``sol`` as (AMR index, trip index, trip): what the
     shake draws from."""
     return [(a, t, trip) for a, amr in enumerate(sol.amrs) for t, trip in enumerate(amr)]
 
 
-def _shake_draws(flat, bits, count):
-    """Draw ``count`` shake candidates' indices: (trip i, trip j, cut c1,
-    cut c2) of ``flat`` for a tail exchange, or the (first, end) slice of the
-    lone trip's reversal, which must have two stops.  ``bits`` is a
+def _shake_candidates(inst, sol, flat, bits, count, now):
+    """Draw ``count`` shake candidates of ``sol``, whose summary is ``now``,
+    as (bound, draw index, draw) entries (see ``_bound``).  A draw is (trip
+    i, trip j, cut c1, cut c2) of ``flat`` for a tail exchange, which swaps
+    the two legs out of its cuts for the two that cross over and may empty
+    an AMR, or the (first, end) slice of the lone trip's reversal, which has
+    two stops or more and is bounded as 2-opt*'s is.  ``bits`` is a
     ``random.Random``'s ``getrandbits``, and the draws consume its stream
     as ``sample(range(n), 2)`` and ``randint`` do (``_two_below``,
-    ``_below``)."""
+    ``_below``); a bound consumes none."""
+    dmat, amrs = inst.distance, sol.amrs
     lone = len(flat) < 2
     n = len(flat[0][2]) - 2 if lone else len(flat)
-    draws = []
-    for _ in range(count):
+    entries = []
+    for k in range(count):
         i, j = _two_below(bits, n)
         if lone:
-            draws.append((i + 1, j + 2) if i < j else (j + 1, i + 2))
-        else:
-            draws.append((i, j, _below(bits, len(flat[i][2]) - 1),
-                          _below(bits, len(flat[j][2]) - 1)))
-    return draws
+            draw = (i + 1, j + 2) if i < j else (j + 1, i + 2)
+            entries.append((_reversal_bound(inst, now, flat[0][2], *draw), k, draw))
+            continue
+        (a1, _, trip1), (a2, _, trip2) = flat[i], flat[j]
+        c1, c2 = _below(bits, len(trip1) - 1), _below(bits, len(trip2) - 1)
+        u1, v1, u2, v2 = trip1[c1], trip1[c1 + 1], trip2[c2], trip2[c2 + 1]
+        # an AMR goes when its only trip is emptied: depot to depot
+        gone = a1 != a2 and ((u1 == v2 == DEPOT and len(amrs[a1]) == 1)
+                             + (u2 == v1 == DEPOT and len(amrs[a2]) == 1))
+        entries.append((_bound(inst, now, gone, dmat[u1][v1] + dmat[u2][v2],
+                               dmat[u1][v2] + dmat[u2][v1]), k, (i, j, c1, c2)))
+    return entries
 
 
 def _below(bits, n):

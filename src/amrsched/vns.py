@@ -44,6 +44,7 @@ def greedy_initial(inst: Instance, rng: random.Random) -> Solution:
     unserved = set(range(1, inst.n_requests + 1))
     trips: list[tuple[int, ...]] = []
     body: list[int] = []
+    d = inst.distance
 
     def trip_ok(nodes):
         _, twv, cap_bad, bat_bad, *_ = _walk_trip(inst, _start_record(inst),
@@ -53,10 +54,10 @@ def greedy_initial(inst: Instance, rng: random.Random) -> Solution:
     while unserved:
         last = next((n for n in reversed(body) if not inst.is_charging(n)), DEPOT)
         load = sum(inst.demand[n] for n in body)
-        order = sorted(unserved, key=lambda r: (inst.distance[last][r], r))
+        order = sorted(unserved, key=lambda r: (d[last][r], r))
         if len(order) >= 2 and rng.random() < 0.5:
             order[0], order[1] = order[1], order[0]
-        placed = False
+        seq = (DEPOT, *body, DEPOT)
         for r in order:
             if load + inst.demand[r] > inst.amr.capacity + _LOAD_EPS:
                 continue
@@ -70,17 +71,17 @@ def greedy_initial(inst: Instance, rng: random.Random) -> Solution:
                         continue
                     ok, bat_bad = trip_ok(trial)
                 if ok and not bat_bad:
-                    added = _insertion_cost(inst, body, pos, r)
+                    u, w = seq[pos], seq[pos + 1]
+                    added = d[u][r] + d[r][w] - d[u][w]
                     if best is None or added < best[0]:
                         best = (added, trial)
             if best is not None:
                 body = best[1]
                 unserved.discard(r)
-                placed = True
                 break
-        if not placed:
+        else:
             if body:
-                trips.append((DEPOT, *body, DEPOT))
+                trips.append(seq)
                 body = []
             else:
                 r = order[0]
@@ -90,12 +91,6 @@ def greedy_initial(inst: Instance, rng: random.Random) -> Solution:
     if body:
         trips.append((DEPOT, *body, DEPOT))
     return normalize_solution([[t] for t in trips])
-
-
-def _insertion_cost(inst, body, pos, r):
-    seq = [DEPOT] + body + [DEPOT]
-    prev, nxt = seq[pos], seq[pos + 1]
-    return inst.distance[prev][r] + inst.distance[r][nxt] - inst.distance[prev][nxt]
 
 
 def _patch_battery(inst, body):
@@ -118,7 +113,7 @@ def local_search(inst: Instance, x: Solution, rng: random.Random) -> Solution:
     is certain (``_price_within``), and only an accepted move becomes a plan.
     """
     cx = solution_cost(inst, x)
-    base = [_amr_cost(inst, trips, inst._caches) for trips in x.amrs]
+    base = [_amr_cost(inst, trips) for trips in x.amrs]
     plan = _plan_index(inst, x)
     rate = inst.cost.tw_penalty
     k = 1

@@ -383,11 +383,11 @@ def golden_text(payload) -> str:
     return json.dumps(payload, indent=1, sort_keys=True) + "\n"
 
 
-def golden_cases(h12_seeds: int = 4) -> dict:
+def golden_cases(h12_seeds: int = 4, h64_seeds: int = 4) -> dict:
     """Golden file stem -> zero-argument payload builder."""
     cases = {}
     for name, n_iter in GOLDEN_SOLVES:
-        for seed in range(h12_seeds if name == "hospital12" else 4):
+        for seed in range(h12_seeds if name == "hospital12" else h64_seeds):
             cases[f"{name}_n{n_iter}_seed{seed}"] = partial(
                 solve_payload, name, n_iter, seed)
     cases["random_evaluations"] = random_evaluations_payload

@@ -226,7 +226,7 @@ def test_walked_record_is_the_memo_record():
                 for trip in trips:
                     folded = folded and _walk_trip(inst, folded, trip, limit)
                 # a fresh instance, so that no stored record answers for the walk
-                memo = _amr_cost(inst, trips, dataclasses.replace(inst)._caches, limit)
+                memo = _amr_cost(dataclasses.replace(inst), trips, limit)
                 assert folded == memo, (case, trips, limit)
                 outcomes[memo is None, memo is not None and memo[3] > 0] += 1
     assert len(outcomes) == 3 and all(outcomes.values()), outcomes
@@ -248,8 +248,8 @@ def test_pricing_against_a_bound_gives_the_exact_verdict():
             sols += [charging_insert_repair(inst, s) for s in sols]     # stations
         for sol, rate in itertools.product(sols, (inst.cost.fixed_per_amr,
                                                   inst.cost.tw_penalty)):
-            cold = dataclasses.replace(inst)._caches
-            exact = [_amr_cost(inst, trips, cold) for trips in sol.amrs]
+            cold = dataclasses.replace(inst)
+            exact = [_amr_cost(cold, trips) for trips in sol.amrs]
             full = solution_cost(dataclasses.replace(inst), sol)
             violations = full.tw_violations + full.flag_failures
             score = full.objective + rate * violations
@@ -294,17 +294,17 @@ def test_a_stored_floor_never_answers_for_an_exact_record():
             sol = charging_insert_repair(inst, sol)
         for trips in sol.amrs:
             stopped = dataclasses.replace(inst)
-            if _amr_cost(stopped, trips, stopped._caches, 0) is not None:
+            if _amr_cost(stopped, trips, 0) is not None:
                 continue
             floor = stopped._caches["amr"][trips]
             assert type(floor) is int and floor >= 1
             for limit in (floor - 1, floor, floor + 1, _MAX_COUNT):
                 warm = dataclasses.replace(inst)
-                _amr_cost(warm, trips, warm._caches, 0)
+                _amr_cost(warm, trips, 0)
                 folded = _start_record(inst)
                 for trip in trips:
                     folded = folded and _walk_trip(inst, folded, trip, limit)
-                got = _amr_cost(warm, trips, warm._caches, limit)
+                got = _amr_cost(warm, trips, limit)
                 stored = warm._caches["amr"][trips]
                 if limit < floor:
                     assert got is None and stored == floor
@@ -316,15 +316,15 @@ def test_a_stored_floor_never_answers_for_an_exact_record():
                     assert stored == got
                 outcomes[got is None] += 1
         for trips in sol.amrs:
-            exact = _amr_cost(inst, trips, dataclasses.replace(inst)._caches)
+            exact = _amr_cost(dataclasses.replace(inst), trips)
             for k in range(1, len(trips)):
                 warm = dataclasses.replace(inst)
-                if _amr_cost(warm, trips[:k], warm._caches, 0) is None:
-                    assert _amr_cost(warm, trips, warm._caches) == exact
+                if _amr_cost(warm, trips[:k], 0) is None:
+                    assert _amr_cost(warm, trips) == exact
                     outcomes["prefix floors"] += 1
         warm = dataclasses.replace(inst)
         for trips in sol.amrs:
-            _amr_cost(warm, trips, warm._caches, 0)
+            _amr_cost(warm, trips, 0)
         held = sum(type(warm._caches["amr"][trips]) is int for trips in sol.amrs)
         assert solution_cost(warm, sol) == solution_cost(dataclasses.replace(inst), sol)
         assert not any(type(v) is int for v in warm._caches["amr"].values()) or not held

@@ -10,10 +10,10 @@ from amrsched.model import (DEPOT, Solution, StructuralError,
                             check_solution_structure, load_instance,
                             normalize_solution, solution_from_ids)
 from amrsched import evaluation
-from amrsched.evaluation import evaluate_solution, solution_cost
+from amrsched.evaluation import _fold, evaluate_solution, solution_cost
 from amrsched.operators import (_apply, _below, _decreasing_run, _loosest_partner,
-                                _plan_index, _relocate, _reverse, _shake_bounds,
-                                _shake_change, _shake_draws, _shake_trips, _swap,
+                                _plan_index, _relocate, _reverse, _shake_candidates,
+                                _shake_change, _shake_trips, _swap,
                                 _two_below, _violator_at, amr_decrease,
                                 charging_insert_repair, depot_insert_repair,
                                 relocation_star, shake_2opt_l, shake_cost,
@@ -184,6 +184,23 @@ def test_relocation_star_random_identity_allowed():
         if out == sol:
             seen_identity = True
     assert seen_identity
+
+
+def test_relocation_to_its_own_slot_is_no_move():
+    """Putting a request back in its own slot changes nothing, so it is no
+    move, (inf, None), even with no price to beat: at every request position
+    of random plans."""
+    rng = random.Random(13)
+    seen = 0
+    for case in range(10):
+        inst = random_instance(rng, rng.randint(2, 8), tight_battery=case % 2 == 1)
+        sol = random_solution(rng, inst)
+        plan = _plan_index(inst, sol)
+        now = solution_cost(inst, sol)._replace(penalized=math.inf)
+        for k, i in plan[3]:
+            assert _relocate(inst, plan, now, (k, i), k, i) == (math.inf, None)
+            seen += 1
+    assert seen > 20
 
 
 # ---------------------------------------------------------------------------
@@ -516,9 +533,9 @@ def _tie_priced_later_first(inst, sol, seed, size, built):
     scores = [shake_cost(inst, solution_cost(inst, c)) for c in built]
     first = scores.index(min(scores))
     flat = _shake_trips(sol)
-    draws = _shake_draws(flat, random.Random(seed).getrandbits, size)
-    order = [k for _, k in sorted(
-        _shake_bounds(inst, sol, flat, draws, solution_cost(inst, sol)))]
+    order = [k for _, k, _ in sorted(_shake_candidates(
+        inst, sol, flat, random.Random(seed).getrandbits, size,
+        solution_cost(inst, sol)))]
     return any(scores[k] == scores[first]
                for k in order[:order.index(first)] if k > first)
 
@@ -574,11 +591,15 @@ def test_shake_draws_are_the_generators():
     def kept(trip):
         return (trip,) if len(trip) > 2 else ()
 
+    # nodes up to 100 to bound the draws with; the bounds are not under test
+    inst = random_instance(random.Random(0), 100)
+    now = _fold(inst, ())
+
     def check(sol, seed, expected_draws):
         rng, ref = random.Random(seed), random.Random(seed)
         flat = _shake_trips(sol)
-        change = _shake_change(sol, flat, _shake_draws(flat, rng.getrandbits, 1)[0])
-        assert change == expected_draws(ref)
+        (_, _, draw), = _shake_candidates(inst, sol, flat, rng.getrandbits, 1, now)
+        assert _shake_change(sol, flat, draw) == expected_draws(ref)
         assert rng.getstate() == ref.getstate()
 
     for seed in range(4):
@@ -622,6 +643,20 @@ def test_shake_draws_are_the_generators():
             assert rng.getstate() == ref.getstate()
 
 
+def _replaying(flat, draws):
+    """A ``getrandbits`` under which ``_shake_candidates`` draws ``draws``
+    of ``flat`` in order: each index is a value below its range, taken at
+    once, and the second of a pair is read as ``_two_below`` reads it."""
+    lone = len(flat) < 2
+    n = len(flat[0][2]) - 2 if lone else len(flat)
+    values = []
+    for draw in draws:
+        i, j = (draw[0] - 1, draw[1] - 2) if lone else draw[:2]
+        values += [i, i if n <= 21 and j == n - 1 else j, *draw[2:]]
+    it = iter(values)
+    return lambda k: next(it)
+
+
 def _exchange(sol, flat, draw):
     """The tail exchange ``draw`` of ``sol``, built and normalized in full."""
     i, j, c1, c2 = draw
@@ -654,8 +689,10 @@ def test_shake_bound_is_strictly_below_every_exchange(hospital12_path,
                      for j, (_, _, trip2) in enumerate(flat) if i != j
                      for c1 in range(len(trip1) - 1)
                      for c2 in range(len(trip2) - 1)]
-            bounds = _shake_bounds(inst, sol, flat, draws, solution_cost(inst, sol))
-            for (bound, _), draw in zip(bounds, draws):
+            entries = _shake_candidates(inst, sol, flat, _replaying(flat, draws),
+                                        len(draws), solution_cost(inst, sol))
+            assert [draw for _, _, draw in entries] == draws
+            for bound, _, draw in entries:
                 cand = _exchange(sol, flat, draw)
                 assert bound < solution_cost(inst, cand).objective, (draw, sol)
                 checked += 1
@@ -710,8 +747,9 @@ def test_every_move_bound_is_strictly_below_its_objective(hospital12_path,
                       "adjacent swap" if adjacent else "swap")
             for at, k in itertools.product(positions, range(len(flat))):
                 for s in range(1, len(flat[k][2]) - (k == at[0])):
-                    check(inst, sol, _relocate(inst, plan, now, at, k, s),
-                          "same-trip relocation" if k == at[0] else "relocation")
+                    if (k, s) != at:    # its own slot is no move
+                        check(inst, sol, _relocate(inst, plan, now, at, k, s),
+                              "same-trip relocation" if k == at[0] else "relocation")
             for k, (_, _, trip) in enumerate(flat):
                 for i, j in itertools.combinations(range(1, len(trip) - 1), 2):
                     check(inst, sol, _reverse(inst, plan, now, k, i, j), "reversal")
@@ -720,8 +758,10 @@ def test_every_move_bound_is_strictly_below_its_objective(hospital12_path,
         flat = _shake_trips(lone)
         draws = [(i, j) for i in range(1, len(flat[0][2]))
                  for j in range(i + 2, len(flat[0][2]))]
-        bounds = _shake_bounds(inst, lone, flat, draws, solution_cost(inst, lone))
-        for (bound, k), draw in zip(bounds, draws):
+        entries = _shake_candidates(inst, lone, flat, _replaying(flat, draws),
+                                    len(draws), solution_cost(inst, lone))
+        assert [draw for _, _, draw in entries] == draws
+        for bound, _, draw in entries:
             check(inst, lone, (bound, _shake_change(lone, flat, draw)), "lone reversal")
     assert len(seen) == 8 and all(seen.values()), seen
 

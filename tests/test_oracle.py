@@ -163,7 +163,6 @@ def test_dominated_day_never_extends_better():
     for case in range(200):
         inst = random_instance(rng, rng.randint(4, 6), tight_windows=case % 2 == 0)
         assert _growth_prunes_sound(inst) and _battery_never_binds(inst)
-        caches = inst._caches
         served = rng.sample(range(1, inst.n_requests + 1), rng.randint(2, 3))
         rest = [r for r in range(1, inst.n_requests + 1) if r not in served]
         days = []
@@ -172,8 +171,8 @@ def test_dominated_day_never_extends_better():
         for a, b in itertools.permutations(dict.fromkeys(days), 2):
             if a[0][-1][-2] != b[0][-1][-2]:
                 continue
-            ra = _amr_cost(inst, a[0], caches)
-            rb = _amr_cost(inst, b[0], caches)
+            ra = _amr_cost(inst, a[0])
+            rb = _amr_cost(inst, b[0])
             if ra[1] or not (a[1] <= b[1] and ra[5] <= rb[5] and ra[6] <= rb[6]
                              and ra[0] <= rb[0]):
                 continue
@@ -181,8 +180,8 @@ def test_dominated_day_never_extends_better():
             for _ in range(3):
                 ext = rng.sample(rest, rng.randint(1, len(rest)))
                 opens = [rng.random() < 0.5 for _ in ext]
-                ea = _amr_cost(inst, _extend(a[0], ext, opens), caches)
-                eb = _amr_cost(inst, _extend(b[0], ext, opens), caches)
+                ea = _amr_cost(inst, _extend(a[0], ext, opens))
+                eb = _amr_cost(inst, _extend(b[0], ext, opens))
                 if not any(eb[1:4]):
                     assert not any(ea[1:4]), (case, a, b, ext, opens)
                 assert ea[0] <= eb[0] + 1e-9, (case, a, b, ext, opens)
